@@ -14,9 +14,9 @@ numbers:
 * ``streaming`` — end-to-end packet throughput of a *faulted* stream on
   the acceptance cell (1M Zipf packets over 10k flows at a 1% total
   fault rate; ``--smoke`` shortens the stream but keeps the flow
-  population), per engine, plus the pristine stream's throughput on the
-  same cell.  Their ratio, ``resilience_throughput_vs_traffic``, is the
-  structural claim the gate enforces: faulted variants stay
+  population), plus the pristine stream's throughput on the same cell.
+  Their ratio, ``resilience_throughput_vs_traffic``, is the structural
+  claim the gate enforces: faulted variants stay
   transition-memoizable, so pricing real error paths must not collapse
   streaming throughput.
 * ``saturation`` — the acceptance proof: the same 1M-packet faulted cell
@@ -79,7 +79,6 @@ def bench_latency() -> dict:
         "lru:4",
         profile=LATENCY_PROFILE,
         overload=LATENCY_OVERLOAD,
-        engine="fast",
     )
     return {
         "spec": LATENCY_SPEC.to_json(),
@@ -102,21 +101,18 @@ def bench_streaming(packets: int, flows: int, trials: int) -> dict:
         "spec": spec.to_json(),
         "profile": profile.to_json(),
     }
-    point = None
-    for engine in ("fast", "gensim"):
-        best = float("inf")
-        for _ in range(trials):
-            t0 = time.perf_counter()
-            point = run_resilience_point(
-                spec, "one-entry", profile=profile, overload=overload,
-                engine=engine,
-            )
-            best = min(best, time.perf_counter() - t0)
-        out[f"{engine}_packets_per_sec"] = round(packets / best)
     best = float("inf")
     for _ in range(trials):
         t0 = time.perf_counter()
-        run_traffic_point(spec, "one-entry", engine="fast")
+        point = run_resilience_point(
+            spec, "one-entry", profile=profile, overload=overload
+        )
+        best = min(best, time.perf_counter() - t0)
+    out["fast_packets_per_sec"] = round(packets / best)
+    best = float("inf")
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        run_traffic_point(spec, "one-entry")
         best = min(best, time.perf_counter() - t0)
     out["pristine_fast_packets_per_sec"] = round(packets / best)
     out["resilience_throughput_vs_traffic"] = round(
@@ -133,9 +129,7 @@ def bench_saturation(packets: int, flows: int) -> dict:
     spec = TrafficSpec(packets=packets, flows=flows, mix="zipf")
     profile = FaultProfile.uniform(STREAM_FAULT_RATE, seed=0)
     overload = OverloadSpec()
-    point = run_resilience_point(
-        spec, "one-entry", profile=profile, overload=overload, engine="fast"
-    )
+    point = run_resilience_point(spec, "one-entry", profile=profile, overload=overload)
     return {
         "spec": spec.to_json(),
         "scheme": "one-entry",
@@ -153,7 +147,7 @@ def main(argv=None) -> int:
         "--trials",
         type=int,
         default=1,
-        help="streaming trials per engine (best is reported)",
+        help="streaming trials (best is reported)",
     )
     parser.add_argument("--output", default=str(REPO / "BENCH_resilience.json"))
     args = parser.parse_args(argv)
@@ -178,7 +172,6 @@ def main(argv=None) -> int:
     )
     print(
         f"  faulted fast {streaming['fast_packets_per_sec']:,} packets/s, "
-        f"gensim {streaming['gensim_packets_per_sec']:,} packets/s, "
         f"pristine fast {streaming['pristine_fast_packets_per_sec']:,} "
         f"packets/s -> {streaming['resilience_throughput_vs_traffic']}x"
     )

@@ -28,13 +28,12 @@ The package rebuilds the paper's entire experimental system in Python:
 
 Quick start::
 
-    from repro.api import RunSpec, run, sweep, search
-    from repro.harness.reporting import render_table4
+    from repro.api import RunSpec, SearchSpec, run, sweep, search
 
     result = run(RunSpec("tcpip", "CLO", samples=3))
     table = sweep([RunSpec("tcpip", c, samples=3)
                    for c in ("STD", "OUT", "CLO", "BAD", "PIN", "ALL")])
-    found = search(RunSpec("tcpip", "CLO"), budget=64, seed=0)
+    found = search(SearchSpec(RunSpec("tcpip", "CLO"), budget=64, seed=0))
 
 or run ``python -m repro`` to regenerate every table at once.
 """

@@ -21,8 +21,8 @@ Subcommands::
                                                # faulted streams under load
     python -m repro datalayout                 # data-techniques grid study
 
-Every subcommand resolves its engine and chaos environment once, through
-:class:`repro.api.Settings`, and runs through the :mod:`repro.api` facade.
+Every subcommand runs through the :mod:`repro.api` facade, which resolves
+the engine and chaos environment once, through :class:`repro.api.Settings`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import argparse
 import json
 import sys
 import time
+
+from repro.api.settings import ENGINES
 
 
 def profile_main(argv=None) -> int:
@@ -46,12 +48,9 @@ def profile_main(argv=None) -> int:
     )
     parser.add_argument("stack", choices=list(STACKS))
     parser.add_argument("config", choices=list(CONFIG_NAMES))
-    # attribution needs per-function span replay, which the generated
-    # gensim kernels decline — only the interpreting engines qualify
-    parser.add_argument("--engine", choices=["fast", "reference"],
-                        default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="simulation engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; gensim declines attribution sinks)")
+                             "or fast)")
     parser.add_argument("--seed", type=int, default=42,
                         help="allocator jitter seed of the traced sample")
     parser.add_argument("--top", type=int, default=12,
@@ -101,12 +100,9 @@ def analyze_main(argv=None) -> int:
     )
     parser.add_argument("stack", choices=list(STACKS) + ["all"])
     parser.add_argument("config", choices=list(CONFIG_NAMES) + ["all"])
-    parser.add_argument("--engine", choices=["fast", "reference", "gensim"],
-                        default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="engine for the simulated cross-validations "
-                             "(default: $REPRO_SIM_ENGINE or fast; gensim "
-                             "declines attribution sinks, so it needs "
-                             "--static-only; --bounds works on any engine)")
+                             "(default: $REPRO_SIM_ENGINE or fast)")
     parser.add_argument("--seed", type=int, default=42,
                         help="allocator jitter seed of the validated sample")
     parser.add_argument("--static-only", action="store_true",
@@ -175,7 +171,6 @@ def faults_main(argv=None) -> int:
     """``python -m repro faults``: price the error paths of one stack."""
     from repro.faults.plan import FAULT_KINDS
     from repro.harness.configs import CONFIG_NAMES, STACKS
-    from repro.harness.experiment import ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro faults",
@@ -199,7 +194,7 @@ def faults_main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="fault plan seed (injection sites; the "
                              "allocator jitter seeds are unchanged)")
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="simulation engine (default: $REPRO_SIM_ENGINE "
                              "or fast)")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -250,10 +245,10 @@ def search_main(argv=None) -> int:
                         help="search seed (drives every random choice)")
     parser.add_argument("--base-seed", type=int, default=42,
                         help="allocator jitter seed of the scored sample")
-    parser.add_argument("--engine", choices=["fast", "reference"],
-                        default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="scoring engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; scores are bit-identical either way)")
+                             "or fast; scores are bit-identical on every "
+                             "engine)")
     parser.add_argument("--parallel", action="store_true",
                         help="score candidate batches on the process pool")
     parser.add_argument("--micro", action="store_true",
@@ -350,14 +345,6 @@ def traffic_main(argv=None) -> int:
                         help="flow-map caching schemes: none, one-entry, "
                              "lru:K, direct:N, assoc:SxW "
                              "(default: the full taxonomy)")
-    parser.add_argument("--engine",
-                        choices=["fast", "gensim", "guarded",
-                                 "guarded-gensim"],
-                        default=None,
-                        help="streaming engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; tables are bit-identical across "
-                             "engines, and the reference engine has no "
-                             "packed-segment pass)")
     parser.add_argument("--seed", type=int, default=0,
                         help="arrival/churn stream seed")
     parser.add_argument("--warmup", type=int, default=10_000,
@@ -378,7 +365,6 @@ def traffic_main(argv=None) -> int:
 
     from repro import api
 
-    settings = api.Settings.from_env(engine=args.engine)
     stream = TrafficSpec(
         stack=args.stack, config=args.config, packets=args.packets,
         flows=args.flows[0], zipf_s=args.zipf_s, churn=args.churn,
@@ -389,7 +375,7 @@ def traffic_main(argv=None) -> int:
         traffic=stream, schemes=tuple(args.schemes),
         mixes=tuple(args.mixes) if args.mixes else None,
         flow_counts=tuple(args.flows),
-    ), settings=settings)
+    ))
     if args.json is not None:
         payload = json.dumps(study.to_json(), indent=2) + "\n"
         if args.json == "-":
@@ -456,14 +442,6 @@ def resilience_main(argv=None) -> int:
     parser.add_argument("--policy", choices=list(POLICIES),
                         default="drop-tail",
                         help="ingress admission policy")
-    parser.add_argument("--engine",
-                        choices=["fast", "gensim", "guarded",
-                                 "guarded-gensim"],
-                        default=None,
-                        help="streaming engine (default: $REPRO_SIM_ENGINE "
-                             "or fast; studies are bit-identical across "
-                             "engines, and the reference engine has no "
-                             "packed-segment pass)")
     parser.add_argument("--seed", type=int, default=0,
                         help="arrival/churn stream seed")
     parser.add_argument("--warmup", type=int, default=10_000,
@@ -480,7 +458,6 @@ def resilience_main(argv=None) -> int:
 
     from repro import api
 
-    settings = api.Settings.from_env(engine=args.engine)
     stream = TrafficSpec(
         stack=args.stack, config=args.config, packets=args.packets,
         flows=args.flows, churn=args.churn, seed=args.seed,
@@ -496,7 +473,7 @@ def resilience_main(argv=None) -> int:
         fault_rates=tuple(args.fault_rates),
         profile_seed=args.profile_seed, scope=args.scope,
         overload=overload, parallel=args.parallel,
-    ), settings=settings)
+    ))
     if args.json is not None:
         payload = json.dumps(study.to_json(), indent=2) + "\n"
         if args.json == "-":
@@ -511,7 +488,6 @@ def resilience_main(argv=None) -> int:
 
 def datalayout_main(argv=None) -> int:
     """``python -m repro datalayout``: the data-techniques grid study."""
-    from repro.api.settings import ENGINES
     from repro.api.spec import SPEC_CONFIGS, SPEC_STACKS
     from repro.datalayout import TECHNIQUE_NAMES
 
@@ -532,7 +508,7 @@ def datalayout_main(argv=None) -> int:
                         default=list(SPEC_STACKS))
     parser.add_argument("--configs", nargs="+", choices=list(SPEC_CONFIGS),
                         default=list(SPEC_CONFIGS))
-    parser.add_argument("--engine", choices=list(ENGINES), default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="simulation engine (default: $REPRO_SIM_ENGINE "
                              "or fast; tables are bit-identical across "
                              "engines)")
@@ -596,10 +572,7 @@ def main(argv=None) -> int:
                         default="both")
     parser.add_argument("--tables", nargs="*", type=int, default=None,
                         help="subset of table numbers (1-9)")
-    from repro.api.settings import ENGINES as _engines
-
-    parser.add_argument("--engine", choices=list(_engines),
-                        default=None,
+    parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="simulation engine for the sweeps (default: "
                              "$REPRO_SIM_ENGINE or fast)")
     args = parser.parse_args(argv)

@@ -44,10 +44,6 @@ protocol (``.to_json()``, ``.render()``, ``.check()``)::
   :mod:`repro.datalayout` — store behaviours and data-layout transforms
   over all 12 cells, attribution- and bounds-checked.
 
-The pre-spec keyword forms (``api.traffic(TrafficSpec, schemes=...)``,
-``api.analyze(RunSpec, bounds=True)``, ...) survive as thin shims that
-emit :class:`DeprecationWarning` and forward to the spec form.
-
 Environment configuration (``REPRO_SIM_ENGINE``, ``REPRO_VERIFY_IR``,
 ``REPRO_CHAOS``) is resolved once per call through
 :meth:`Settings.from_env` and threaded explicitly; pass an explicit
@@ -56,11 +52,9 @@ Environment configuration (``REPRO_SIM_ENGINE``, ``REPRO_VERIFY_IR``,
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     TYPE_CHECKING,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -91,9 +85,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.harness.experiment import ExperimentResult
     from repro.harness.parallel import SweepReport
     from repro.harness.profile import CellProfile
-    from repro.resilience import OverloadSpec, ResilienceStudy
+    from repro.resilience import ResilienceStudy
     from repro.search.driver import SearchResult
-    from repro.traffic import TrafficSpec, TrafficStudy
+    from repro.traffic import TrafficStudy
 
 __all__ = [
     "ENGINES",
@@ -139,18 +133,6 @@ FACADE_VERBS: Tuple[str, ...] = (
     "faults",
     "datalayout",
 )
-
-#: sentinel distinguishing "not passed" from an explicit None/False
-_UNSET: object = object()
-
-
-def _deprecated(verb: str, spec_type: str, what: Sequence[str]) -> None:
-    warnings.warn(
-        f"api.{verb}: {', '.join(what)} is deprecated; "
-        f"pass a {spec_type} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def settings_for(spec: RunSpec, settings: Optional[Settings] = None) -> Settings:
@@ -242,8 +224,6 @@ def sweep(
     spec: Union[SweepSpec, Sequence[RunSpec]],
     *,
     settings: Optional[Settings] = None,
-    parallel: object = _UNSET,
-    max_workers: object = _UNSET,
     report: Optional[SweepReport] = None,
 ) -> SweepResult:
     """Measure many specs; returns a :class:`SweepResult` in spec order.
@@ -254,33 +234,9 @@ def sweep(
     parallel executor with memoized builds and captures.  Anything more
     heterogeneous (custom layouts, per-spec seeds) runs spec by spec.
     A bare sequence of :class:`RunSpec` is accepted as shorthand for
-    ``SweepSpec(runs)``; the ``parallel``/``max_workers`` keywords are
-    deprecated in favour of the spec fields.
+    ``SweepSpec(runs)``.
     """
-    if isinstance(spec, SweepSpec):
-        resolved = spec
-    else:
-        resolved = SweepSpec(runs=tuple(spec))
-    legacy = [
-        name
-        for name, value in (("parallel", parallel), ("max_workers", max_workers))
-        if value is not _UNSET
-    ]
-    if legacy:
-        _deprecated("sweep", "SweepSpec", [f"keyword {n!r}" for n in legacy])
-        resolved = SweepSpec(
-            runs=resolved.runs,
-            parallel=(
-                cast(Optional[bool], parallel)
-                if parallel is not _UNSET
-                else resolved.parallel
-            ),
-            max_workers=(
-                cast(Optional[int], max_workers)
-                if max_workers is not _UNSET
-                else resolved.max_workers
-            ),
-        )
+    resolved = spec if isinstance(spec, SweepSpec) else SweepSpec(runs=tuple(spec))
     runs = resolved.runs
     if not runs:
         return SweepResult()
@@ -304,62 +260,19 @@ def sweep(
 
 
 def search(
-    spec: Union[SearchSpec, RunSpec],
-    budget: object = _UNSET,
-    *,
-    seed: object = _UNSET,
-    settings: Optional[Settings] = None,
-    parallel: object = _UNSET,
-    max_workers: object = _UNSET,
-    micro_baseline: object = _UNSET,
+    spec: Union[SearchSpec, RunSpec], *, settings: Optional[Settings] = None
 ) -> SearchResult:
     """Profile-guided layout search over the spec's (stack, config) cell.
 
     Returns a :class:`repro.search.driver.SearchResult` whose
     ``artifact`` replays bit-identically through :func:`run` via
     ``RunSpec(..., layout=artifact)``.  Equal (spec, budget, seed)
-    triples return bit-identical results on either engine.  Passing a
-    bare :class:`RunSpec` plus search keywords is deprecated — fold them
-    into a :class:`SearchSpec`.
+    triples return bit-identical results on every engine.  A bare
+    :class:`RunSpec` is accepted as shorthand for ``SearchSpec(run)``.
     """
     from repro.search.driver import search_cell
 
-    legacy = [
-        name
-        for name, value in (
-            ("budget", budget),
-            ("seed", seed),
-            ("parallel", parallel),
-            ("max_workers", max_workers),
-            ("micro_baseline", micro_baseline),
-        )
-        if value is not _UNSET
-    ]
-    if isinstance(spec, SearchSpec):
-        if legacy:
-            raise TypeError(
-                f"api.search: a SearchSpec already carries "
-                f"{', '.join(legacy)}; pass them in the spec only"
-            )
-        resolved = spec
-    else:
-        if legacy:
-            _deprecated(
-                "search", "SearchSpec", [f"keyword {n!r}" for n in legacy]
-            )
-        resolved = SearchSpec(
-            run=spec,
-            budget=cast(Optional[int], None if budget is _UNSET else budget),
-            seed=cast(int, 0 if seed is _UNSET else seed),
-            parallel=cast(bool, False if parallel is _UNSET else parallel),
-            max_workers=cast(
-                Optional[int], None if max_workers is _UNSET else max_workers
-            ),
-            micro_baseline=cast(
-                bool, False if micro_baseline is _UNSET else micro_baseline
-            ),
-        )
-
+    resolved = spec if isinstance(spec, SearchSpec) else SearchSpec(run=spec)
     kwargs: Dict[str, int] = {}
     if resolved.budget is not None:
         kwargs["budget"] = resolved.budget
@@ -377,60 +290,20 @@ def search(
     )
 
 
-def traffic(
-    spec: Union[TrafficStudySpec, "TrafficSpec", None] = None,
-    *,
-    schemes: Optional[Sequence[str]] = None,
-    mixes: Optional[Sequence[str]] = None,
-    flow_counts: Optional[Sequence[int]] = None,
-    engine: Optional[str] = None,
-    settings: Optional[Settings] = None,
-) -> TrafficStudy:
+def traffic(spec: Optional[TrafficStudySpec] = None) -> TrafficStudy:
     """Demux-cache traffic study: stream millions of packets per point.
 
     Sweeps caching scheme x arrival mix x flow count over the stream's
     (stack, configuration) cell and returns a
     :class:`repro.traffic.TrafficStudy` carrying per-scheme flow-map hit
-    rates and cold/steady cycle totals.  The streaming engines are
-    exact, so equal specs produce bit-identical studies on ``fast`` and
-    ``gensim`` (a CI golden gate holds this equivalence); the
-    ``reference`` engine has no packed-segment pass and is refused.
-
-    Passing a bare :class:`repro.traffic.TrafficSpec` and/or the axis
-    keywords is deprecated — use :class:`TrafficStudySpec`.
+    rates and cold/steady cycle totals.  Every stream runs on one
+    :class:`~repro.arch.fastsim.FastMachine`, whose transition memo is
+    exact, so equal specs produce bit-identical studies.
     """
-    from repro.traffic import run_traffic_study
+    from repro.traffic import TrafficSpec, run_traffic_study
 
-    if isinstance(spec, TrafficStudySpec):
-        resolved = spec
-    else:
-        legacy: List[str] = []
-        if spec is not None:
-            legacy.append("a bare TrafficSpec stream")
-        legacy.extend(
-            f"keyword {name!r}"
-            for name, value in (
-                ("schemes", schemes),
-                ("mixes", mixes),
-                ("flow_counts", flow_counts),
-                ("engine", engine),
-            )
-            if value is not None
-        )
-        if legacy:
-            _deprecated("traffic", "TrafficStudySpec", legacy)
-        resolved = TrafficStudySpec(
-            traffic=spec,
-            schemes=tuple(schemes) if schemes is not None else None,
-            mixes=tuple(mixes) if mixes is not None else None,
-            flow_counts=tuple(flow_counts) if flow_counts is not None else None,
-            engine=engine,
-        )
-
-    from repro.traffic import TrafficSpec as _TrafficSpec
-
-    stream = resolved.traffic if resolved.traffic is not None else _TrafficSpec()
-    base = _study_settings(resolved.engine, settings)
+    resolved = spec if spec is not None else TrafficStudySpec()
+    stream = resolved.traffic if resolved.traffic is not None else TrafficSpec()
     kwargs: Dict[str, Tuple[str, ...]] = {}
     if resolved.schemes is not None:
         kwargs["schemes"] = resolved.schemes
@@ -438,26 +311,12 @@ def traffic(
         stream,
         mixes=resolved.mixes,
         flow_counts=resolved.flow_counts,
-        engine=base.engine,
         **kwargs,
     )
     return study
 
 
-def resilience(
-    spec: Union[ResilienceStudySpec, "TrafficSpec", None] = None,
-    *,
-    schemes: Optional[Sequence[str]] = None,
-    mixes: Optional[Sequence[str]] = None,
-    fault_rates: Optional[Sequence[float]] = None,
-    profile_seed: object = _UNSET,
-    scope: object = _UNSET,
-    overload: Optional[OverloadSpec] = None,
-    engine: Optional[str] = None,
-    parallel: object = _UNSET,
-    max_workers: object = _UNSET,
-    settings: Optional[Settings] = None,
-) -> ResilienceStudy:
+def resilience(spec: Optional[ResilienceStudySpec] = None) -> ResilienceStudy:
     """Faulted-traffic resilience study: error paths under offered load.
 
     Sweeps caching scheme x arrival mix x fault rate over the stream's
@@ -467,65 +326,13 @@ def resilience(
     point, reporting p50/p99/p999 sojourn latency, drop fractions and
     the saturation point.  Rate 0 is bit-identical to a pristine
     :func:`traffic` point, and equal inputs produce bit-identical
-    studies on ``fast`` and ``gensim`` (a CI golden gate holds this).
-
-    Passing a bare :class:`repro.traffic.TrafficSpec` and/or the sweep
-    keywords is deprecated — use :class:`ResilienceStudySpec`.
+    studies.
     """
     from repro.resilience import run_resilience_study
+    from repro.traffic import TrafficSpec
 
-    if isinstance(spec, ResilienceStudySpec):
-        resolved = spec
-    else:
-        legacy: List[str] = []
-        if spec is not None:
-            legacy.append("a bare TrafficSpec stream")
-        legacy.extend(
-            f"keyword {name!r}"
-            for name, value in (
-                ("schemes", schemes),
-                ("mixes", mixes),
-                ("fault_rates", fault_rates),
-                ("overload", overload),
-                ("engine", engine),
-            )
-            if value is not None
-        )
-        legacy.extend(
-            f"keyword {name!r}"
-            for name, value in (
-                ("profile_seed", profile_seed),
-                ("scope", scope),
-                ("parallel", parallel),
-                ("max_workers", max_workers),
-            )
-            if value is not _UNSET
-        )
-        if legacy:
-            _deprecated("resilience", "ResilienceStudySpec", legacy)
-        resolved = ResilienceStudySpec(
-            traffic=spec,
-            schemes=tuple(schemes) if schemes is not None else None,
-            mixes=tuple(mixes) if mixes is not None else None,
-            fault_rates=(
-                tuple(fault_rates) if fault_rates is not None else None
-            ),
-            profile_seed=cast(
-                int, 0 if profile_seed is _UNSET else profile_seed
-            ),
-            scope=cast(str, "all" if scope is _UNSET else scope),
-            overload=overload,
-            parallel=cast(bool, False if parallel is _UNSET else parallel),
-            max_workers=cast(
-                Optional[int], None if max_workers is _UNSET else max_workers
-            ),
-            engine=engine,
-        )
-
-    from repro.traffic import TrafficSpec as _TrafficSpec
-
-    stream = resolved.traffic if resolved.traffic is not None else _TrafficSpec()
-    base = _study_settings(resolved.engine, settings)
+    resolved = spec if spec is not None else ResilienceStudySpec()
+    stream = resolved.traffic if resolved.traffic is not None else TrafficSpec()
     kwargs: Dict[str, object] = {}
     if resolved.schemes is not None:
         kwargs["schemes"] = resolved.schemes
@@ -537,7 +344,6 @@ def resilience(
         profile_seed=resolved.profile_seed,
         scope=resolved.scope,
         overload=resolved.overload,
-        engine=base.engine,
         parallel=resolved.parallel,
         max_workers=resolved.max_workers,
         **kwargs,
@@ -546,11 +352,7 @@ def resilience(
 
 
 def analyze(
-    spec: Union[AnalyzeSpec, RunSpec],
-    *,
-    settings: Optional[Settings] = None,
-    check_conflicts: object = _UNSET,
-    bounds: object = _UNSET,
+    spec: AnalyzeSpec, *, settings: Optional[Settings] = None
 ) -> CellAnalysis:
     """Static analysis of the spec's (stack, configuration) cell.
 
@@ -562,44 +364,17 @@ def analyze(
     checks ``lower <= simulated <= upper`` against the resolved engine.
     Returns a :class:`repro.analysis.CellAnalysis`; ``report.ok`` is the
     clean/dirty verdict and ``report.to_json()`` the structured form.
-    The pass-toggle keywords are deprecated — use :class:`AnalyzeSpec`.
     """
     from repro.analysis import analyze_cell
 
-    legacy = [
-        f"keyword {name!r}"
-        for name, value in (
-            ("check_conflicts", check_conflicts),
-            ("bounds", bounds),
-        )
-        if value is not _UNSET
-    ]
-    if isinstance(spec, AnalyzeSpec):
-        if legacy:
-            raise TypeError(
-                f"api.analyze: an AnalyzeSpec already carries "
-                f"{', '.join(legacy)}; pass them in the spec only"
-            )
-        resolved = spec
-    else:
-        if legacy:
-            _deprecated("analyze", "AnalyzeSpec", legacy)
-        resolved = AnalyzeSpec(
-            run=spec,
-            check_conflicts=cast(
-                bool, True if check_conflicts is _UNSET else check_conflicts
-            ),
-            bounds=cast(bool, False if bounds is _UNSET else bounds),
-        )
-
-    effective = settings_for(resolved.run, settings)
+    effective = settings_for(spec.run, settings)
     return analyze_cell(
-        resolved.run.stack,
-        resolved.run.config,
+        spec.run.stack,
+        spec.run.config,
         engine=effective.engine,
-        check_conflicts=resolved.check_conflicts,
-        bounds=resolved.bounds,
-        seed=resolved.run.seed,
+        check_conflicts=spec.check_conflicts,
+        bounds=spec.bounds,
+        seed=spec.run.seed,
     )
 
 
@@ -683,8 +458,7 @@ def datalayout(
     cells, with each cell attribution-verified against the engine and
     bracketed by the static bounds under the same store behaviour.  The
     engines are bit-identical, so equal specs produce byte-identical
-    tables on ``fast``, ``reference`` and ``gensim`` (a CI golden gate
-    holds the fast/gensim pair).
+    tables on ``fast`` and ``reference`` (a CI golden gate holds this).
     """
     from repro.datalayout import run_datalayout_study
 

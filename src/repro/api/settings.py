@@ -1,16 +1,13 @@
 """Run-wide settings, resolved from the environment exactly once.
 
-The harness historically read three environment variables at scattered
-call sites: ``REPRO_SIM_ENGINE`` (engine selection, in
-``resolve_engine``), ``REPRO_VERIFY_IR`` (the per-stage IR verifier, in
-``verify_ir_enabled``) and ``REPRO_CHAOS`` (worker sabotage rules, in
-``repro.faults.chaos``).  :class:`Settings` consolidates all three into
+A run reads three environment variables: ``REPRO_SIM_ENGINE`` (engine
+selection), ``REPRO_VERIFY_IR`` (the per-stage IR verifier) and
+``REPRO_CHAOS`` (worker sabotage rules, see ``repro.faults.chaos``).
+:class:`Settings` consolidates all three into
 one frozen object: :meth:`Settings.from_env` resolves and validates them
 in one place, and every consumer receives the resolved object explicitly
 instead of consulting ``os.environ`` itself.  The environment variables
-stay honoured — ``from_env`` is the single reader — and the legacy
-``resolve_engine`` / ``verify_ir_enabled`` imports keep working through
-deprecation shims in :mod:`repro.harness.experiment`.
+stay honoured — ``from_env`` is the single reader.
 """
 
 from __future__ import annotations
@@ -26,11 +23,8 @@ from repro.faults.chaos import ChaosRule, parse_rules
 #: kernel + result caches (bit-identical results); "reference" = the
 #: original object-per-instruction oracle path; "guarded" = fast results
 #: cross-checked against the reference path sample by sample, degrading
-#: to "reference" on divergence (see :mod:`repro.faults.guard`);
-#: "gensim" = generated, vectorized per-cell kernels with transition
-#: memoization (see :mod:`repro.gensim`); "guarded-gensim" = gensim
-#: results cross-checked against the reference path like "guarded"
-ENGINES = ("fast", "reference", "guarded", "gensim", "guarded-gensim")
+#: to "reference" on divergence (see :mod:`repro.faults.guard`)
+ENGINES = ("fast", "reference", "guarded")
 
 ENGINE_ENV = "REPRO_SIM_ENGINE"
 VERIFY_IR_ENV = "REPRO_VERIFY_IR"
@@ -78,9 +72,8 @@ class Settings:
     ) -> "Settings":
         """Resolve settings from ``environ`` (default: ``os.environ``).
 
-        Explicit keyword arguments beat the environment, mirroring the
-        old ``resolve_engine(engine)`` precedence; the environment beats
-        the defaults.
+        Explicit keyword arguments beat the environment; the environment
+        beats the defaults.
         """
         env = os.environ if environ is None else environ
         if engine is None:

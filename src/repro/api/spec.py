@@ -15,8 +15,7 @@ piles of :func:`repro.api.traffic`, :func:`repro.api.resilience`,
 dataclasses below (:class:`SweepSpec`, :class:`SearchSpec`,
 :class:`AnalyzeSpec`, :class:`ProfileSpec`, :class:`FaultsSpec`,
 :class:`TrafficStudySpec`, :class:`ResilienceStudySpec`,
-:class:`DatalayoutSpec`), so each verb takes exactly one spec and the
-legacy keyword forms survive only as deprecated shims.
+:class:`DatalayoutSpec`), so each verb takes exactly one spec.
 """
 
 from __future__ import annotations
@@ -129,9 +128,8 @@ class AnalyzeSpec:
 class ProfileSpec:
     """One stall-attribution request.
 
-    Attribution needs per-function span replay, which the generated
-    gensim kernels decline — ``engine`` must resolve to an interpreting
-    engine (``fast`` or ``reference``).
+    Attribution needs per-function span replay, so ``engine`` must
+    resolve to ``fast`` or ``reference``.
     """
 
     stack: str = "tcpip"
@@ -192,7 +190,6 @@ class TrafficStudySpec:
     schemes: Optional[Tuple[str, ...]] = None
     mixes: Optional[Tuple[str, ...]] = None
     flow_counts: Optional[Tuple[int, ...]] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("schemes", "mixes", "flow_counts"):
@@ -217,7 +214,6 @@ class ResilienceStudySpec:
     overload: Optional["OverloadSpec"] = None
     parallel: bool = False
     max_workers: Optional[int] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("schemes", "mixes", "fault_rates"):

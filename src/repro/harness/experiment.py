@@ -21,18 +21,11 @@ from __future__ import annotations
 
 import os
 import statistics
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.settings import (
-    ENGINES as ENGINES,  # re-export: the harness is ENGINES' legacy home
-    Settings,
-)
-from repro.arch.simcache import (
-    gensim_cold_and_steady_cached,
-    simulate_cold_and_steady_cached,
-)
+from repro.api.settings import Settings
+from repro.arch.simcache import simulate_cold_and_steady_cached
 from repro.arch.simulator import MachineSimulator, SimResult
 from repro.core.fastwalk import FastWalker
 from repro.faults import chaos
@@ -68,44 +61,6 @@ from repro.trace.tracer import Tracer
 DEFAULT_WARMUP_ROUNDTRIPS = 25
 #: paper: ten samples for TCP/IP, five for RPC
 DEFAULT_SAMPLES = {"tcpip": 10, "rpc": 5}
-
-# ENGINES now lives in repro.api.settings (re-exported here for the many
-# callers that import it from the harness)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Deprecated: use :meth:`repro.api.Settings.from_env` instead.
-
-    Kept as a shim so legacy imports keep working; the precedence
-    (explicit arg > ``$REPRO_SIM_ENGINE`` > ``fast``) and the error
-    message for unknown engines are unchanged.
-    """
-    warnings.warn(
-        "resolve_engine() is deprecated; resolve the engine through "
-        "repro.api.Settings.from_env(engine=...).engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Settings.from_env(engine=engine).engine
-
-
-def verify_ir_enabled() -> bool:
-    """Deprecated: use :attr:`repro.api.Settings.verify_ir` instead.
-
-    When ``REPRO_VERIFY_IR=1``, every experiment build runs the
-    structural verifier of :mod:`repro.analysis.verify` after each
-    transformation stage and fails loudly the moment a transform
-    produces malformed IR.  The flag is now resolved once per run by
-    :meth:`repro.api.Settings.from_env`; this shim keeps legacy imports
-    working.
-    """
-    warnings.warn(
-        "verify_ir_enabled() is deprecated; read "
-        "repro.api.Settings.from_env().verify_ir instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Settings.from_env().verify_ir
 
 
 def _ir_verify_hook(stage: str, build: BuildResult) -> None:
@@ -389,14 +344,10 @@ class Experiment:
         if self.fault_plan is not None:
             events, faults = self.fault_plan.apply(events, seed)
         engine = self._live_engine
-        if engine in ("guarded", "guarded-gensim"):
+        if engine == "guarded":
             walk, cold, steady = self._run_guarded(
-                build, events, data_env, seed, sample_index,
-                primary="gensim" if engine == "guarded-gensim" else "fast",
+                build, events, data_env, seed, sample_index
             )
-        elif engine == "gensim":
-            walk = FastWalker(build.program, data_env).walk(events)
-            cold, steady = gensim_cold_and_steady_cached(walk.packed)
         elif engine == "fast":
             walk = FastWalker(build.program, data_env).walk(events)
             cold, steady = simulate_cold_and_steady_cached(walk.packed)
@@ -417,13 +368,10 @@ class Experiment:
         data_env: Dict[str, int],
         seed: int,
         sample_index: int,
-        *,
-        primary: str = "fast",
     ) -> Tuple[WalkResult, SimResult, SimResult]:
-        """Primary-engine results, cross-checked against the reference path.
+        """Fast-engine results, cross-checked against the reference path.
 
-        ``primary`` selects the engine being guarded ("fast" or
-        "gensim").  Every ``guard_stride``-th sample is replayed through
+        Every ``guard_stride``-th sample is replayed through
         the reference walker and simulator; a mismatch is recorded as a
         :class:`DivergenceReport` and — under the default ``fallback``
         policy — the reference results are used and the experiment runs
@@ -434,10 +382,7 @@ class Experiment:
         checked = sample_index % self.guard_stride == 0
         ref_events = _clone_events(events) if checked else []
         walk = FastWalker(build.program, data_env).walk(events)
-        if primary == "gensim":
-            cold, steady = gensim_cold_and_steady_cached(walk.packed)
-        else:
-            cold, steady = simulate_cold_and_steady_cached(walk.packed)
+        cold, steady = simulate_cold_and_steady_cached(walk.packed)
         # chaos hook: a "perturb" rule models a fast-engine bug by
         # skewing the stall count (snapshots are ours to mutate)
         steady.memory.stall_cycles += chaos.perturbation(
@@ -475,7 +420,7 @@ class Experiment:
                 self.stack, self.config, self.opts,
                 layout=self.layout_override,
             )
-        elif self.engine in ("fast", "guarded", "gensim", "guarded-gensim"):
+        elif self.engine in ("fast", "guarded"):
             build = build_configured_program_cached(
                 self.stack, self.config, self.opts
             )

@@ -375,11 +375,9 @@ def render_traffic_table(study) -> str:
     one-entry scheme on the same (mix, flows) — Jain's comparison
     protocol applied to the x-kernel demux layer.  Every column is a
     ratio of exact integers, so the rendering is bit-stable across
-    engines and platforms.
+    platforms.
     """
     spec = study.base_spec
-    # no engine in the header: fast and gensim must render byte-identical
-    # tables (the CI traffic gate diffs one committed file from both)
     lines = [
         f"Demux-cache study: {spec.stack} {spec.config}",
         f"{spec.packets:,} packets/point, warmup {spec.warmup_packets:,}, "
@@ -426,12 +424,11 @@ def render_resilience_table(study) -> str:
     with p50/p99/p999 sojourn latency (simulated cycles), the drop
     fraction and a saturation marker.  Latencies are exact integers and
     every ratio divides exact integers, so the rendering is bit-stable
-    across engines (the CI resilience gate diffs one committed file
-    regenerated by both).
+    (the CI resilience gate diffs one committed file against a fresh
+    run).
     """
     spec = study.base_spec
     ov = study.overload
-    # no engine in the header: fast and gensim must render byte-identical
     lines = [
         f"Resilience study: {spec.stack} {spec.config}",
         f"{spec.packets:,} packets/point, {spec.flows:,} flows, "

@@ -5,7 +5,7 @@ scheme (a single streaming pass collecting per-packet service demands),
 then replays the service sequence through the overload queue at every
 offered-load point — the queue is pure integer arithmetic, so the
 latency curves cost nothing compared to the stream itself and are
-bit-identical across engines.  ``run_resilience_study`` sweeps the grid,
+bit-identical across runs.  ``run_resilience_study`` sweeps the grid,
 optionally on the self-healing process pool, and embeds the structured
 :class:`~repro.harness.parallel.SweepReport` in its JSON artifact.
 """
@@ -29,7 +29,6 @@ from repro.traffic.study import (
     StreamCollector,
     TrafficPoint,
     _CellSetup,
-    _normalize_engine,
     run_traffic_point,
 )
 from repro.xkernel.map import make_scheme
@@ -81,7 +80,6 @@ class ResilienceStudy:
     """A sweep's points plus the axes and provenance that produced them."""
 
     base_spec: TrafficSpec
-    engine: str
     schemes: Tuple[str, ...]
     mixes: Tuple[str, ...]
     fault_rates: Tuple[float, ...]
@@ -107,7 +105,6 @@ class ResilienceStudy:
             "schema": SCHEMA,
             "generator": "repro.api.resilience",
             "base_spec": self.base_spec.to_json(),
-            "engine": self.engine,
             "schemes": list(self.schemes),
             "mixes": list(self.mixes),
             "fault_rates": list(self.fault_rates),
@@ -139,7 +136,6 @@ def run_resilience_point(
     *,
     profile: FaultProfile,
     overload: Optional[OverloadSpec] = None,
-    engine: str = "fast",
     config: Optional[AlphaConfig] = None,
     setup: Optional[_CellSetup] = None,
     watchdog_s: Optional[float] = None,
@@ -151,7 +147,6 @@ def run_resilience_point(
     traffic = run_traffic_point(
         spec,
         scheme_spec,
-        engine=engine,
         config=config,
         setup=setup,
         faults=profile,
@@ -178,14 +173,11 @@ def _point_worker(
     scheme_spec: str,
     profile: FaultProfile,
     overload: OverloadSpec,
-    engine: str,
     attempt: int = 0,
 ) -> ResiliencePoint:
     """Pool worker: one grid cell, rebuilt from its picklable payload."""
     del attempt  # deterministic cells are bit-identical on retries
-    return run_resilience_point(
-        spec, scheme_spec, profile=profile, overload=overload, engine=engine
-    )
+    return run_resilience_point(spec, scheme_spec, profile=profile, overload=overload)
 
 
 def run_resilience_study(
@@ -197,13 +189,12 @@ def run_resilience_study(
     profile_seed: int = 0,
     scope: str = "all",
     overload: Optional[OverloadSpec] = None,
-    engine: str = "fast",
     config: Optional[AlphaConfig] = None,
     parallel: bool = False,
     max_workers: Optional[int] = None,
     report: Optional[SweepReport] = None,
 ) -> ResilienceStudy:
-    """Sweep scheme x mix x fault-rate over one cell and engine.
+    """Sweep scheme x mix x fault-rate over one cell.
 
     Points are independent (fresh maps, machine and seeds per point), so
     the serial and parallel paths produce bit-identical studies; the
@@ -219,11 +210,10 @@ def run_resilience_study(
     overload = overload or OverloadSpec()
     overload.validate()
     config = config or AlphaConfig()
-    engine = _normalize_engine(engine)
     if report is None:
         report = SweepReport()
     report.stack = base_spec.stack
-    report.engine = engine
+    report.engine = "fast"  # every stream runs on a FastMachine
     report.configs = tuple(
         f"{scheme}/{mix}/r{rate:g}"
         for mix in mixes
@@ -233,7 +223,6 @@ def run_resilience_study(
     report.samples = 1
     study = ResilienceStudy(
         base_spec=base_spec,
-        engine=engine,
         schemes=schemes,
         mixes=mixes,
         fault_rates=fault_rates,
@@ -254,7 +243,7 @@ def run_resilience_study(
 
     if parallel:
         payloads = [
-            (spec, scheme, profile, overload, engine)
+            (spec, scheme, profile, overload)
             for spec, scheme, profile in cells
         ]
         labels = [
@@ -278,7 +267,6 @@ def run_resilience_study(
                     scheme,
                     profile=profile,
                     overload=overload,
-                    engine=engine,
                     config=config,
                     setup=setup,
                 )

@@ -1,13 +1,13 @@
 """The demux-cache study: scheme x arrival-mix x flow-count sweeps.
 
-``run_traffic_point`` streams one spec through one scheme on one engine
-and reports hit rates (from the real :class:`~repro.xkernel.map.Map`
-instances) plus cold/steady cycle totals (from the transition-memoized
-stream).  ``run_traffic_study`` sweeps the grid and carries everything a
+``run_traffic_point`` streams one spec through one scheme and reports
+hit rates (from the real :class:`~repro.xkernel.map.Map` instances)
+plus cold/steady cycle totals (from the transition-memoized stream).
+``run_traffic_study`` sweeps the grid and carries everything a
 paper-style table needs.
 
-All numbers are integers or exact ratios of integers, so two engines —
-or two runs — produce bit-identical JSON and rendered tables.
+All numbers are integers or exact ratios of integers, so two runs
+produce bit-identical JSON and rendered tables.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.arch.fastsim import FastMachine
 from repro.arch.simulator import AlphaConfig
 from repro.traffic.arrivals import SCAN, ArrivalSampler
 from repro.traffic.flowtable import FlowTables
 from repro.traffic.segments import SegmentLibrary
 from repro.traffic.spec import MIXES, TrafficSpec
-from repro.traffic.stream import TransitionStream, make_stream_machine
+from repro.traffic.stream import TransitionStream
 from repro.xkernel.map import SCHEME_SPECS, make_scheme
 
 if TYPE_CHECKING:  # resilience layers on traffic, never the reverse
@@ -49,11 +50,10 @@ class StreamCollector:
 
 @dataclass
 class TrafficPoint:
-    """One (spec, scheme, engine) streaming run's results."""
+    """One (spec, scheme) streaming run's results."""
 
     spec: TrafficSpec
     scheme: str
-    engine: str
     packets: int
     #: per-population, per-layer map statistics
     map_stats: Dict[str, Dict[str, dict]]
@@ -112,7 +112,6 @@ class TrafficPoint:
         return {
             "spec": self.spec.to_json(),
             "scheme": self.scheme,
-            "engine": self.engine,
             "packets": self.packets,
             "map_stats": self.map_stats,
             "instructions": self.instructions,
@@ -137,7 +136,6 @@ class TrafficStudy:
     """A sweep's points plus the axes that produced them."""
 
     base_spec: TrafficSpec
-    engine: str
     schemes: Tuple[str, ...]
     mixes: Tuple[str, ...]
     flow_counts: Tuple[int, ...]
@@ -153,7 +151,6 @@ class TrafficStudy:
     def to_json(self) -> dict:
         return {
             "base_spec": self.base_spec.to_json(),
-            "engine": self.engine,
             "schemes": list(self.schemes),
             "mixes": list(self.mixes),
             "flow_counts": list(self.flow_counts),
@@ -178,14 +175,6 @@ class TrafficStudy:
                             f"missing point {(scheme, mix, flows)!r}"
                         )
         return missing
-
-
-def _normalize_engine(engine: str) -> str:
-    if engine in ("fast", "guarded"):
-        return "fast"
-    if engine in ("gensim", "guarded-gensim"):
-        return "gensim"
-    return engine  # make_stream_machine raises with the full story
 
 
 class _CellSetup:
@@ -219,14 +208,13 @@ def run_traffic_point(
     spec: TrafficSpec,
     scheme_spec: str,
     *,
-    engine: str = "fast",
     config: Optional[AlphaConfig] = None,
     setup: Optional[_CellSetup] = None,
     faults: Optional["FaultProfile"] = None,
     collect: Optional[StreamCollector] = None,
     watchdog_s: Optional[float] = None,
 ) -> TrafficPoint:
-    """Stream one spec through one caching scheme on one engine.
+    """Stream one spec through one caching scheme.
 
     ``faults`` injects deterministic per-packet fault arrivals (see
     :class:`repro.resilience.faults.FaultProfile`); a profile whose
@@ -236,7 +224,6 @@ def run_traffic_point(
     """
     spec.validate()
     config = config or AlphaConfig()
-    engine = _normalize_engine(engine)
     setup = setup or _CellSetup(spec, config)
     libraries = setup.libraries
     populations = setup.populations
@@ -271,7 +258,7 @@ def run_traffic_point(
     churn = spec.churn
 
     stream = TransitionStream(
-        make_stream_machine(engine, config),
+        FastMachine(config),
         state_cap=spec.memo_state_cap,
         edge_cap=spec.memo_edge_cap,
         watchdog_s=watchdog_s,
@@ -376,7 +363,6 @@ def run_traffic_point(
     return TrafficPoint(
         spec=spec,
         scheme=schemes[populations[0]].name,
-        engine=engine,
         packets=spec.packets,
         map_stats={
             pop: {
@@ -421,10 +407,9 @@ def run_traffic_study(
     schemes: Sequence[str] = SCHEME_SPECS,
     mixes: Optional[Sequence[str]] = None,
     flow_counts: Optional[Sequence[int]] = None,
-    engine: str = "fast",
     config: Optional[AlphaConfig] = None,
 ) -> TrafficStudy:
-    """Sweep scheme x mix x flow-count over one cell and engine.
+    """Sweep scheme x mix x flow-count over one cell.
 
     The segment library is shared across points (walks are per-variant,
     not per-point); every point gets fresh maps, a fresh machine and the
@@ -440,7 +425,6 @@ def run_traffic_study(
     config = config or AlphaConfig()
     study = TrafficStudy(
         base_spec=base_spec,
-        engine=_normalize_engine(engine),
         schemes=schemes,
         mixes=mixes,
         flow_counts=flow_counts,
@@ -451,8 +435,6 @@ def run_traffic_study(
             spec = base_spec.with_(mix=mix, flows=flows)
             for scheme in schemes:
                 study.points.append(
-                    run_traffic_point(
-                        spec, scheme, engine=engine, config=config, setup=setup
-                    )
+                    run_traffic_point(spec, scheme, config=config, setup=setup)
                 )
     return study

@@ -342,14 +342,6 @@ class TestMiniPrograms:
 # --------------------------------------------------------------------------- #
 
 
-def _has_numpy():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 class TestCells:
     @pytest.mark.parametrize("stack,config", [("tcpip", "CLO"), ("rpc", "STD")])
     def test_fast_engine_invariant(self, stack, config):
@@ -357,9 +349,8 @@ class TestCells:
         assert findings == []
         assert bounds.cold.exact  # cold starts empty: slack = model bug
 
-    @pytest.mark.skipif(not _has_numpy(), reason="gensim needs numpy")
-    def test_gensim_engine_invariant(self):
-        bounds, findings = check_cell_bounds("tcpip", "CLO", engine="gensim")
+    def test_reference_engine_invariant(self):
+        bounds, findings = check_cell_bounds("tcpip", "CLO", engine="reference")
         assert findings == []
         assert bounds.cold.exact
 

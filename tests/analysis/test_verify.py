@@ -265,18 +265,27 @@ class TestVerifyIrHook:
     def test_experiment_build_verifies_under_env(self, monkeypatch):
         """REPRO_VERIFY_IR=1 routes experiment builds through the
         stage-hooked builder with the verifier attached."""
-        from repro.harness.experiment import (
-            Experiment,
-            verify_ir_enabled,
-        )
+        from repro.api.settings import Settings
+        from repro.harness import experiment
 
+        verified = []
+        hook = experiment._ir_verify_hook
+
+        def recording_hook(stage, build):
+            verified.append(stage)
+            hook(stage, build)
+
+        monkeypatch.setattr(experiment, "_ir_verify_hook", recording_hook)
         monkeypatch.setenv("REPRO_VERIFY_IR", "1")
-        assert verify_ir_enabled()
-        result = Experiment("tcpip", "OUT").run(samples=1)
+        assert Settings.from_env().verify_ir
+        result = experiment.Experiment("tcpip", "OUT").run(samples=1)
         assert result.samples[0].trace_length > 0
+        assert verified, "no build stage went through the verifier"
 
     def test_disabled_by_default(self, monkeypatch):
-        from repro.harness.experiment import verify_ir_enabled
+        from repro.api.settings import Settings
+        from repro.harness import experiment
 
         monkeypatch.delenv("REPRO_VERIFY_IR", raising=False)
-        assert not verify_ir_enabled()
+        assert not Settings.from_env().verify_ir
+        assert not experiment.Experiment("tcpip", "OUT").settings.verify_ir

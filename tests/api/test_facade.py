@@ -20,7 +20,12 @@ from repro.api import (
     sweep,
 )
 from repro.api.result import Result
-from repro.api.settings import CHAOS_ENV, ENGINE_ENV, VERIFY_IR_ENV
+from repro.api.settings import (
+    CHAOS_ENV,
+    ENGINE_ENV,
+    ENGINES,
+    VERIFY_IR_ENV,
+)
 from repro.harness.experiment import Experiment, run_all_configs
 
 
@@ -108,22 +113,20 @@ class TestSettings:
         assert exp.engine == "fast"
 
 
-class TestDeprecationShims:
-    def test_resolve_engine_warns_but_works(self, monkeypatch):
-        from repro.harness.experiment import resolve_engine
+class TestEngineRegistry:
+    """The registry is the three engines; retired names are refused.
 
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        with pytest.warns(DeprecationWarning, match="Settings"):
-            assert resolve_engine() == "reference"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_engine("fast") == "fast"
+    That every layer treats each member as first-class is checked in
+    ``tests/gensim/test_engine.py``.
+    """
 
-    def test_verify_ir_enabled_warns_but_works(self, monkeypatch):
-        from repro.harness.experiment import verify_ir_enabled
+    def test_registry_is_three_engines(self):
+        assert ENGINES == ("fast", "reference", "guarded")
 
-        monkeypatch.setenv(VERIFY_IR_ENV, "1")
-        with pytest.warns(DeprecationWarning, match="Settings"):
-            assert verify_ir_enabled() is True
+    def test_retired_generated_kernel_engine_is_rejected(self):
+        with pytest.raises(ValueError) as err:
+            Settings(engine="gensim")
+        assert "valid engines: fast, reference, guarded" in str(err.value)
 
 
 class TestRun:
@@ -219,7 +222,7 @@ class TestSearchVerb:
 
     def test_search_spec_refuses_conflicting_kwargs(self):
         spec = SearchSpec(RunSpec("tcpip", "STD"), budget=4, seed=2)
-        with pytest.raises(TypeError, match="SearchSpec already carries"):
+        with pytest.raises(TypeError, match="budget"):
             api.search(spec, budget=8)
 
 
@@ -289,39 +292,36 @@ class TestResultProtocol:
 
 
 class TestKwargShims:
-    """The pre-spec keyword forms still work but warn."""
+    """The pre-spec keyword forms are gone: every verb refuses them.
+
+    Each verb takes only its spec (plus ``settings``), so a stray
+    keyword fails loudly instead of being folded in or ignored.
+    """
 
     def test_sweep_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SweepSpec"):
-            results = sweep(
-                [RunSpec("tcpip", "STD", samples=1)], parallel=False
-            )
-        assert results[0].config == "STD"
+        with pytest.raises(TypeError, match="parallel"):
+            sweep([RunSpec("tcpip", "STD", samples=1)], parallel=False)
 
     def test_search_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SearchSpec"):
-            result = search(RunSpec("tcpip", "STD"), budget=4, seed=2)
-        via_spec = search(SearchSpec(RunSpec("tcpip", "STD"), budget=4, seed=2))
-        assert result.artifact.placements == via_spec.artifact.placements
+        with pytest.raises(TypeError, match="budget"):
+            search(RunSpec("tcpip", "STD"), budget=4, seed=2)
 
     def test_search_bare_runspec_with_defaults_stays_silent(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            search(RunSpec("tcpip", "STD"))
+            result = search(RunSpec("tcpip", "STD"))
+        via_spec = search(SearchSpec(RunSpec("tcpip", "STD")))
+        assert result.artifact.placements == via_spec.artifact.placements
 
     def test_analyze_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="AnalyzeSpec"):
-            report = api.analyze(
-                RunSpec("tcpip", "STD"), check_conflicts=False
-            )
-        assert report.ok
+        with pytest.raises(TypeError, match="check_conflicts"):
+            api.analyze(RunSpec("tcpip", "STD"), check_conflicts=False)
 
     def test_traffic_kwargs_warn(self):
         from repro.traffic import TrafficSpec
 
         small = TrafficSpec(packets=2_000, flows=50, warmup_packets=200)
-        with pytest.warns(DeprecationWarning, match="TrafficStudySpec"):
-            study = api.traffic(small, schemes=["one-entry"])
-        assert study.point("one-entry", "zipf", 50)
+        with pytest.raises(TypeError, match="schemes"):
+            api.traffic(small, schemes=["one-entry"])

@@ -2,27 +2,32 @@
 
 import pytest
 
+from repro.api.settings import ENGINES, Settings
 from repro.harness.configs import build_configured_program
-from repro.harness.experiment import ENGINES, Experiment, resolve_engine
+from repro.harness.experiment import Experiment
 from repro.harness.latency import CONTROLLER_ROUNDTRIP_US, LatencyModel
 
 
 class TestResolveEngine:
+    """``Settings.from_env``: explicit engine > $REPRO_SIM_ENGINE > fast."""
+
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine("fast") == "fast"
+        assert Settings.from_env(engine="fast").engine == "fast"
+        assert Experiment("tcpip", "STD", engine="fast").engine == "fast"
 
     def test_env_var_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine() == "reference"
+        assert Settings.from_env().engine == "reference"
+        assert Experiment("tcpip", "STD").engine == "reference"
 
     def test_default_is_fast(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert resolve_engine() == "fast"
+        assert Settings.from_env().engine == "fast"
 
     def test_unknown_engine_fails_fast_listing_valid_ones(self):
         with pytest.raises(ValueError) as excinfo:
-            resolve_engine("turbo")
+            Settings.from_env({}, engine="turbo")
         message = str(excinfo.value)
         assert "turbo" in message
         for engine in ENGINES:

@@ -106,13 +106,30 @@ class TestSectionAbsentVsNull:
         assert "SECTION ABSENT" in out
         assert "perf trend OK" in out
 
+    def test_simspeed_gate_enforces_only_fast_and_reference(
+        self, tmp_path, capsys
+    ):
+        end_to_end = {name: 1.0 for name in gate.REQUIRED_END_TO_END}
+        end_to_end["speedup_vs_reference"] = 5.0
+        baseline = write_json(
+            tmp_path / "baseline.json",
+            {"kernel": {"fast_entries_per_sec": 1}, "end_to_end": end_to_end},
+        )
+        smoke = write_json(
+            tmp_path / "smoke.json",
+            {"end_to_end": {"speedup_vs_reference": 5.0}},
+        )
+        rc = gate.main([smoke, "--baseline", baseline])
+        assert rc == 0
+        assert "perf trend OK" in capsys.readouterr().out
+
 
 class TestDatalayoutGate:
     def test_identical_grid_passes(self, tmp_path, capsys):
         grid = grid_payload()
         baseline = write_json(tmp_path / "baseline.json", {"grid": grid})
         fresh = write_json(
-            tmp_path / "fresh.json", {"engine": "gensim", "grid": grid}
+            tmp_path / "fresh.json", {"engine": "reference", "grid": grid}
         )
         rc = gate.main(
             ["--datalayout", fresh, "--datalayout-baseline", baseline]

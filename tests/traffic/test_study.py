@@ -111,16 +111,20 @@ class TestApiVerb:
         study = api.traffic(
             api.TrafficStudySpec(traffic=SMALL, schemes=("one-entry",))
         )
-        assert study.engine == "fast"
+        assert study.schemes == ("one-entry",)
         assert len(study.points) == 1
 
-    def test_engine_override_beats_environment(self):
-        study = api.traffic(api.TrafficStudySpec(
+    def test_engine_override_beats_environment(self, monkeypatch):
+        # the stream's one machine overrides whatever engine the
+        # environment names, even the stream-less reference engine
+        spec = api.TrafficStudySpec(
             traffic=SMALL.with_(packets=600, warmup_packets=100, flows=50),
             schemes=("none",),
-            engine="gensim",
-        ))
-        assert study.engine == "gensim"
+        )
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        under_reference = api.traffic(spec).to_json()
+        monkeypatch.delenv("REPRO_SIM_ENGINE")
+        assert api.traffic(spec).to_json() == under_reference
 
     def test_default_spec_is_the_acceptance_cell(self):
         # don't run it (1M packets) — just check the wiring resolves it
