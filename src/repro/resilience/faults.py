@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.plan import FAULT_KINDS, stable_digest
 from repro.traffic.arrivals import SCAN
@@ -111,15 +111,11 @@ class FaultProfile:
     # the per-packet draw                                                #
     # ------------------------------------------------------------------ #
 
-    def arrivals(self, spec: TrafficSpec) -> Optional[Callable[[], Optional[str]]]:
-        """A per-packet sampler, or ``None`` when every rate is zero.
-
-        The ``None`` fast path is what makes rate-0 identity structural:
-        the stream driver draws nothing, touches no RNG, and feeds the
-        exact pristine variants.  With any positive rate the sampler
-        consumes exactly one uniform per packet regardless of outcome,
-        so the fault sequence is a pure function of (profile, spec).
-        """
+    def _draw_table(
+        self, spec: TrafficSpec
+    ) -> Optional[Tuple[random.Random, List[str], List[float], float]]:
+        """The per-packet draw's RNG, kinds, cumulative rates and total
+        rate, or ``None`` when every rate is zero."""
         kinds: List[str] = []  # bounded: one entry per fault kind
         cum: List[float] = []  # bounded: one entry per fault kind
         acc = 0.0
@@ -142,7 +138,21 @@ class FaultProfile:
                 spec.flows,
             )
         )
-        total = acc
+        return rng, kinds, cum, acc
+
+    def arrivals(self, spec: TrafficSpec) -> Optional[Callable[[], Optional[str]]]:
+        """A per-packet sampler, or ``None`` when every rate is zero.
+
+        The ``None`` fast path is what makes rate-0 identity structural:
+        the stream driver draws nothing, touches no RNG, and feeds the
+        exact pristine variants.  With any positive rate the sampler
+        consumes exactly one uniform per packet regardless of outcome,
+        so the fault sequence is a pure function of (profile, spec).
+        """
+        table = self._draw_table(spec)
+        if table is None:
+            return None
+        rng, kinds, cum, total = table
 
         def draw() -> Optional[str]:
             u = rng.random()
@@ -151,6 +161,28 @@ class FaultProfile:
             return kinds[bisect_right(cum, u)]
 
         return draw
+
+    def block_arrivals(
+        self, spec: TrafficSpec
+    ) -> Optional[Callable[[int], Dict[int, str]]]:
+        """``arrivals`` for a block of packets at once: the sampler maps
+        a block length to ``{packet offset: kind}`` of the block's
+        faulted packets, drawing exactly the uniforms ``arrivals``
+        would."""
+        table = self._draw_table(spec)
+        if table is None:
+            return None
+        rng, kinds, cum, total = table
+        rand = rng.random
+
+        def draw_block(packets: int) -> Dict[int, str]:
+            return {
+                i: kinds[bisect_right(cum, u)]
+                for i, u in enumerate([rand() for _ in range(packets)])
+                if u < total
+            }
+
+        return draw_block
 
     def scope_filter(self, spec: TrafficSpec) -> Optional[Callable[[int], bool]]:
         """Slot predicate for non-``all`` scopes (``None`` = no filter).

@@ -24,11 +24,15 @@ reported as exact nearest-rank p50/p99/p999.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import islice
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 #: admission-control policies of the ingress queue
 POLICIES = ("drop-tail", "unbounded")
+
+#: sojourns gathered before they are counted into the histogram
+_SOJOURN_CHUNK = 65_536
 
 #: offered-load points (percent of the stream's service capacity); the
 #: default sweep brackets the saturation knee at 100%
@@ -150,27 +154,38 @@ def simulate_queue(
     # finish times of packets in system; drained on every arrival and
     # capped at queue_capacity under drop-tail, so it stays bounded
     in_system: deque = deque()
+    head = in_system.popleft
+    push = in_system.append
     server_free = 0
     # bounded: distinct sojourn values of one load point
     hist: Counter = Counter()
+    # bounded: _SOJOURN_CHUNK entries, counted into hist per chunk
+    sojourns: List[int] = []
+    record = sojourns.append
     dropped = 0
     max_sojourn = 0
     arrival = 0
-    for i, service in enumerate(services):
-        arrival = (i * base_cycles * 100) // load_pct
-        while in_system and in_system[0] <= arrival:
-            in_system.popleft()
-        if drop_tail and len(in_system) >= capacity:
-            dropped += 1
-            continue
-        start = server_free if server_free > arrival else arrival
-        finish = start + service
-        server_free = finish
-        in_system.append(finish)
-        sojourn = finish - arrival
-        hist[sojourn] += 1
-        if sojourn > max_sojourn:
-            max_sojourn = sojourn
+    # the i-th arrival is (i * step) // load_pct; the numerator is
+    # carried forward instead of multiplied out per packet
+    step = base_cycles * 100
+    numerator = -step
+    rest = iter(services)
+    for _chunk in range(0, len(services), _SOJOURN_CHUNK):
+        for service in islice(rest, _SOJOURN_CHUNK):
+            numerator += step
+            arrival = numerator // load_pct
+            while in_system and in_system[0] <= arrival:
+                head()
+            if drop_tail and len(in_system) >= capacity:
+                dropped += 1
+                continue
+            server_free = (server_free if server_free > arrival else arrival) + service
+            push(server_free)
+            record(server_free - arrival)
+        if sojourns:
+            hist.update(sojourns)
+            max_sojourn = max(max_sojourn, max(sojourns))
+            sojourns.clear()
     offered = len(services)
     admitted = offered - dropped
     p50, p99, p999 = percentiles(hist, (0.50, 0.99, 0.999))

@@ -7,14 +7,18 @@ disturbing the arrival distribution.  ``SCAN`` marks a packet carrying a
 never-bound key.
 
 Everything is driven by one ``random.Random(seed)`` so a spec describes
-exactly one stream.
+exactly one stream.  ``draw_block`` draws a block of packets at once and
+interleaves the stream driver's other shared-RNG draws (connection
+churn before each arrival, a scan packet's population after it) in
+exactly the per-packet order, so a blocked stream is the per-packet
+stream.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 from repro.traffic.spec import TrafficSpec
 
@@ -72,3 +76,65 @@ class ArrivalSampler:
         if self._rng.random() < self._scan_fraction:
             return SCAN
         return self._zipf_slot()
+
+    def draw_block(
+        self,
+        packets: int,
+        *,
+        churn: float = 0.0,
+        scan_rpc_fraction: Optional[float] = None,
+    ) -> Tuple[List[int], Dict[int, int], Dict[int, bool]]:
+        """The next ``packets`` arrivals, with the per-packet draws that
+        share the RNG interleaved in order: a churn draw (and, on churn,
+        the victim slot) before each arrival, and after a ``SCAN``
+        arrival the scan packet's population when ``scan_rpc_fraction``
+        is given (mixed stacks).
+
+        Returns the slots, the churn victim slot per churning packet
+        offset and, per scan packet offset, whether it carries RPC.
+        """
+        rng = self._rng
+        rand = rng.random
+        flows = self._flows
+        hi = flows - 1
+        cum = self._cum
+        total = self._total
+        mix = self._mix
+        if mix == "zipf" and not churn:
+            # the hot case: one uniform per packet, nothing interleaved
+            return (
+                [bisect_right(cum, rand() * total, 0, hi) for _ in range(packets)],
+                {},
+                {},
+            )
+        randrange = rng.randrange
+        burst_p = self._burst_p
+        burst_slot = self._burst_slot
+        in_burst = self._in_burst
+        scan_fraction = self._scan_fraction
+        slots: List[int] = []  # bounded: one entry per packet of the block
+        churns: Dict[int, int] = {}  # bounded: at most one per packet
+        scan_rpc: Dict[int, bool] = {}  # bounded: at most one per packet
+        for i in range(packets):
+            if churn and rand() < churn:
+                churns[i] = randrange(flows)
+            # bisect_right's hi bound is the min() of _zipf_slot
+            if mix == "zipf":
+                slot = bisect_right(cum, rand() * total, 0, hi)
+            elif mix == "uniform":
+                slot = randrange(flows)
+            elif mix == "bursty":
+                if not (in_burst and rand() < burst_p):
+                    burst_slot = bisect_right(cum, rand() * total, 0, hi)
+                    in_burst = True
+                slot = burst_slot
+            elif rand() < scan_fraction:
+                slot = SCAN
+                if scan_rpc_fraction is not None:
+                    scan_rpc[i] = rand() < scan_rpc_fraction
+            else:
+                slot = bisect_right(cum, rand() * total, 0, hi)
+            slots.append(slot)
+        self._burst_slot = burst_slot
+        self._in_burst = in_burst
+        return slots, churns, scan_rpc

@@ -16,6 +16,14 @@ bucket is re-walked) with an identical stats delta every time — so their
 steady resolves are replayed arithmetically instead of through the map
 machinery; ``stats()`` folds the replayed deltas back in before
 reporting, keeping the counters exact.
+
+With ``shadow=True`` (the stream driver's tables) the l4 resolve under
+the ``one-entry`` and ``none`` schemes is replayed arithmetically as
+well, by an :class:`L4Shadow`: its outcome is a function of the uid in
+the one-entry slot and the key's collision-chain depth, which the
+shadow keeps exact across binds and unbinds.  The shadow's stats deltas
+and cache slot are written back to the real map before any unbind and
+whenever ``stats()`` reports, so the ``Map`` stays the source of truth.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.traffic.spec import TrafficSpec
-from repro.xkernel.map import Map, MapStats, make_scheme
+from repro.xkernel.map import Map, MapStats, NoCache, OneEntryCache, make_scheme
 
 #: (hit, probes, chain) per demux layer; ``probes`` is front-end cache
 #: slots compared, ``chain`` is collision-chain links walked (capped)
@@ -82,6 +90,85 @@ class _SingletonProbe:
             self.extra = 0
 
 
+#: MapStats fields an :class:`L4Shadow` accumulates between write-backs
+_SHADOW_FIELDS = (
+    "resolves",
+    "cache_hits",
+    "failed_resolves",
+    "probe_compares",
+    "installs",
+    "evictions",
+    "chain_probes",
+)
+
+
+class L4Shadow:
+    """Arithmetic replay of resolves on a one-entry or cache-less l4 map.
+
+    ``depth`` maps every bound uid to its position in its collision
+    chain (a bind pushes its key at the chain head), rebuilt for the one
+    touched bucket on every bind and unbind; ``last`` is the uid in the
+    one-entry slot (always ``None`` without a cache).  A hit costs the
+    one compare; a miss walks to the key's depth and installs it; an
+    unbound uid walks its whole bucket and installs nothing.  The
+    counter attributes are MapStats deltas not yet written back.
+    """
+
+    __slots__ = ("map", "cap", "one_entry", "depth", "last") + _SHADOW_FIELDS
+
+    def __init__(self, m: Map, cap: int) -> None:
+        self.map = m
+        self.cap = cap
+        self.one_entry = isinstance(m.scheme, OneEntryCache)
+        # bounded: one entry per bound flow
+        self.depth: Dict[int, int] = {}
+        self.last: Optional[int] = None
+        for field in _SHADOW_FIELDS:
+            setattr(self, field, 0)
+
+    def rechain(self, key: bytes) -> None:
+        """Re-read the chain depths of ``key``'s bucket."""
+        depth = self.depth
+        for pos, uid in enumerate(self.map.bucket_values(key)):
+            depth[uid] = pos
+
+    def unbound(self, uid: int, key: bytes) -> None:
+        del self.depth[uid]
+        if self.last == uid:
+            self.last = None
+        self.rechain(key)
+
+    def resolve(self, uid: int) -> LayerOutcome:
+        """One resolve, exactly as ``Map.resolve`` would count it."""
+        self.resolves += 1
+        last = self.last
+        probes = 0 if last is None else 1
+        self.probe_compares += probes
+        if uid == last:
+            self.cache_hits += 1
+            return (True, 1, 0)
+        depth = self.depth.get(uid)
+        if depth is None:
+            depth = self.map.bucket_depth(_key(uid))
+            self.failed_resolves += 1
+        else:
+            self.installs += 1
+            if self.one_entry:
+                self.evictions += probes
+                self.last = uid
+        self.chain_probes += depth
+        return (False, probes, min(depth, self.cap))
+
+    def writeback(self) -> None:
+        """Add the pending stats deltas to the map and load its slot."""
+        stats = self.map.stats
+        for field in _SHADOW_FIELDS:
+            setattr(stats, field, getattr(stats, field) + getattr(self, field))
+            setattr(self, field, 0)
+        if self.one_entry:
+            self.map.load_cache(None if self.last is None else _key(self.last))
+
+
 class FlowTables:
     """Demux maps for one population, all under one cache scheme."""
 
@@ -89,7 +176,12 @@ class FlowTables:
     SMALL_BUCKETS = 16
 
     def __init__(
-        self, spec: TrafficSpec, scheme_spec: str, *, population: str
+        self,
+        spec: TrafficSpec,
+        scheme_spec: str,
+        *,
+        population: str,
+        shadow: bool = False,
     ) -> None:
         self.population = population
         self._cap = spec.chain_cap
@@ -102,6 +194,9 @@ class FlowTables:
             ip.bind(_key(0), "ip-proto")
             self._ip = _SingletonProbe(ip)
         self.l4 = Map(spec.buckets, scheme=make_scheme(scheme_spec))
+        self.shadow: Optional[L4Shadow] = None
+        if shadow and isinstance(self.l4.scheme, (OneEntryCache, NoCache)):
+            self.shadow = L4Shadow(self.l4, self._cap)
         self.bound: set = set()
 
     @property
@@ -117,12 +212,21 @@ class FlowTables:
     # ------------------------------------------------------------------ #
 
     def open_flow(self, uid: int) -> None:
-        self.l4.bind(_key(uid), uid)
+        key = _key(uid)
+        self.l4.bind(key, uid)
         self.bound.add(uid)
+        if self.shadow is not None:
+            self.shadow.rechain(key)
 
     def close_flow(self, uid: int) -> None:
-        self.l4.unbind(_key(uid))
+        key = _key(uid)
+        shadow = self.shadow
+        if shadow is not None:
+            shadow.writeback()  # the unbind's invalidation reads the slot
+        self.l4.unbind(key)
         self.bound.discard(uid)
+        if shadow is not None:
+            shadow.unbound(uid, key)
 
     # ------------------------------------------------------------------ #
     # the per-packet probe                                               #
@@ -140,6 +244,8 @@ class FlowTables:
         cap = self._cap
         eth = self._eth.probe(cap)
         ip = self._ip.probe(cap) if self._ip is not None else None
+        if self.shadow is not None:
+            return eth, ip, self.shadow.resolve(uid)
         self.l4.resolve_or_none(_key(uid))
         last = self.l4.last
         return eth, ip, (last.hit, last.probes, min(last.chain, cap))
@@ -153,11 +259,28 @@ class FlowTables:
         ip = self._ip.probe(cap) if self._ip is not None else None
         return eth, ip
 
+    def settled_pre_l4(self) -> Optional[Tuple[LayerOutcome, Optional[LayerOutcome]]]:
+        """The constant (eth, ip) outcomes once both singleton maps
+        replay their resolves, else ``None``."""
+        eth = self._eth
+        ip = self._ip
+        if eth.delta is None or (ip is not None and ip.delta is None):
+            return None
+        return eth.outcome, ip.outcome if ip is not None else None
+
+    def replay_pre_l4(self, packets: int) -> None:
+        """Account ``packets`` settled eth (and ip) probes at once."""
+        self._eth.extra += packets
+        if self._ip is not None:
+            self._ip.extra += packets
+
     # ------------------------------------------------------------------ #
     # reporting                                                          #
     # ------------------------------------------------------------------ #
 
     def stats(self) -> Dict[str, MapStats]:
+        if self.shadow is not None:
+            self.shadow.writeback()
         self._eth.flush()
         layers = {"eth": self._eth.map.stats, "l4": self.l4.stats}
         if self._ip is not None:

@@ -594,6 +594,34 @@ class Map:
             idx = self._buckets[idx].next_chained
         return count
 
+    def bucket_values(self, key: bytes) -> List[object]:
+        """Values bound in ``key``'s bucket, chain head (depth 0) first
+        — stat-free."""
+        values: List[object] = []  # bounded: one bucket's chain
+        entry = self._buckets[self._index(key)].head
+        while entry is not None:
+            values.append(entry.value)
+            entry = entry.next
+        return values
+
+    def load_cache(self, key: Optional[bytes]) -> None:
+        """Point a one-entry front end at ``key``'s binding (``None``
+        empties it) without touching stats: a driver that replays
+        resolves arithmetically writes its cache slot back with this."""
+        if not isinstance(self.scheme, OneEntryCache):
+            raise MapError(
+                f"load_cache needs a one-entry cache, not {self.scheme.name}"
+            )
+        if key is None:
+            self.scheme.clear()
+            return
+        entry = self._buckets[self._index(key)].head
+        while entry is not None and entry.key != key:
+            entry = entry.next
+        if entry is None:
+            raise MapError(f"load_cache of unbound key {key!r}")
+        self.scheme.install(key, entry)
+
     def bucket_depth(self, key: bytes) -> int:
         """Number of collision-chain links before ``key``'s entry (the
         full bucket length for an unbound key) — stat-free."""

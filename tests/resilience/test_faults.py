@@ -108,6 +108,23 @@ class TestArrivals:
         hits = sum(draw() is not None for _ in range(10_000))
         assert 700 <= hits <= 1_300  # ~10% of 10k
 
+    def test_block_draws_equal_per_packet_draws(self):
+        profile = FaultProfile.uniform(0.3, seed=7)
+        draw = profile.arrivals(SPEC)
+        per_packet = [draw() for _ in range(1_000)]
+        draw_block = profile.block_arrivals(SPEC)
+        blocked = [None] * 1_000
+        for start, length in ((0, 1), (1, 333), (334, 666)):
+            for offset, kind in draw_block(length).items():
+                blocked[start + offset] = kind
+        assert blocked == per_packet
+
+    def test_block_sampler_is_none_when_every_rate_is_zero(self):
+        profile = FaultProfile(
+            rates=tuple((kind, 0.0) for kind in STREAM_FAULT_KINDS)
+        )
+        assert profile.block_arrivals(SPEC) is None
+
 
 class TestScopeFilter:
     def test_all_scope_has_no_filter(self):

@@ -85,6 +85,30 @@ class TestOneEntryCache:
         assert not m.cache_would_hit(b"b")
         assert m.stats.resolves == resolves_before
 
+    def test_load_cache_sets_the_slot_stat_free(self):
+        m = Map(16)
+        m.bind(b"a", 1)
+        m.bind(b"b", 2)
+        m.load_cache(b"b")
+        assert m.cache_would_hit(b"b") and m.stats.resolves == 0
+        assert m.resolve(b"b") == 2 and m.stats.cache_hits == 1
+        m.load_cache(None)
+        assert not m.cache_would_hit(b"b")
+        with pytest.raises(MapError, match="unbound"):
+            m.load_cache(b"zz")
+        with pytest.raises(MapError, match="one-entry"):
+            Map(16, scheme="lru:2").load_cache(b"a")
+
+    def test_bucket_values_head_first_and_stat_free(self):
+        m = Map(1)  # one bucket: every key chains
+        for value, key in enumerate((b"a", b"b", b"c")):
+            m.bind(key, value)
+        assert m.bucket_values(b"a") == [2, 1, 0]  # binds push at the head
+        assert m.bucket_depth(b"a") == 2
+        m.unbind(b"b")
+        assert m.bucket_values(b"zz") == [2, 0]
+        assert m.stats.resolves == 0
+
 
 class TestLazyTraversal:
     def test_traverse_yields_all_bindings(self):
