@@ -15,7 +15,8 @@ analysis of :mod:`repro.analysis.bounds` to be *sound*:
 2. **Randomized layout mutations** — the same invariant under seeded
    swap/rotate/realign mutations of several cells' layouts (the PR 5
    mutator), exercising the digest re-binding path the search
-   prefilter depends on.
+   prefilter depends on.  Each mutant is walked and simulated on the
+   reference engine, independently of the digest.
 
 3. **Certified prefilter smoke** — a seeded search with the bounds
    prefilter enabled must prune at least one candidate AND return a
@@ -78,13 +79,17 @@ def check_cells(quick: bool) -> int:
 
 def check_mutations(rounds: int) -> int:
     from repro.analysis.bounds import bounds_from_digest
+    from repro.api.settings import Settings
     from repro.search.artifact import pack_genome
     from repro.search.evaluate import CellEvaluator
     from repro.search.generators import incumbent_genome, mutate
 
     failures = 0
     for stack, config in MUTATION_CELLS:
-        evaluator = CellEvaluator(stack, config)
+        # the reference evaluator walks and simulates every mutant: the
+        # fast evaluator's score is a replay of the very digest the bound
+        # re-binds, so it would not check the bound independently
+        evaluator = CellEvaluator(stack, config, settings=Settings(engine="reference"))
         base = incumbent_genome(evaluator.program)
         for seed in range(rounds):
             rng = random.Random(seed)

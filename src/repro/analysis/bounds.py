@@ -45,9 +45,13 @@ layout-independent digest of the walked trace:
   bounds are exact as well.
 
 :func:`check_cell_bounds` validates the invariant against a chosen
-engine; the search prefilter (:mod:`repro.search.evaluate`) re-binds one
-digest per candidate layout to prune provably-worse candidates without
-simulating them.
+engine.  The layout search (:mod:`repro.search.evaluate`) re-binds one
+digest per candidate layout as fast-engine columns (:func:`bind_columns`)
+and replays it on the fast kernel (:func:`replay_digest`): the replay
+scores the candidate, and where its state closes after the third pass it
+also *is* the steady bound — the abstract fixpoint would stop at zero
+joins with ``lower == upper ==`` the replayed stalls — so the abstract
+interpreter runs only for candidates whose replay does not close.
 """
 
 from __future__ import annotations
@@ -66,8 +70,10 @@ from typing import (
 )
 
 from repro.analysis.verify import Finding
+from repro.arch.fastsim import FastMachine, FetchColumns
 from repro.arch.isa import INSTRUCTION_SIZE, TraceEntry
-from repro.arch.memory import MemoryConfig
+from repro.arch.memory import MemoryConfig, MemoryStats
+from repro.arch.simulator import AlphaConfig
 from repro.core.placement import run_blocks
 from repro.core.program import Program
 from repro.obs.layers import layer_of
@@ -210,6 +216,99 @@ def bind_digest(
         else:
             append((2, a, fn))
     return out
+
+
+def bind_columns(
+    digest: TraceDigest,
+    placements: Mapping[str, int],
+    *,
+    memory: Optional[MemoryConfig] = None,
+) -> FetchColumns:
+    """Re-bind ``digest`` to ``placements`` as fast-engine kernel columns.
+
+    The result equals :func:`repro.arch.fastsim.trace_columns` of the
+    trace the walker would emit under ``placements``: one fetch run per
+    cache block a digest run enters, a run continuing in the block the
+    previous one ended in folded into it (as consecutive same-block
+    fetches fold in :func:`~repro.arch.fastsim.fetch_runs`), and each
+    data access counted on the run holding its instruction.
+    """
+    cfg = memory or MemoryConfig()
+    bs = cfg.block_size
+    run_blks: List[int] = []
+    dcounts: List[int] = []
+    dblks: List[int] = []
+    last = -1
+    for kind, fn, a, b in digest.events:
+        if kind == "X":
+            # run_blocks(placements[fn], a, b, ...) spelled out: this loop
+            # runs once per search candidate, and the call doubles its cost
+            pc = placements[fn] + a
+            first = pc // bs
+            end = (pc + (b - 1) * INSTRUCTION_SIZE) // bs + 1
+            if first == last:
+                first += 1
+            if first < end:
+                run_blks.extend(range(first, end))
+                dcounts.extend([0] * (end - first))
+                last = end - 1
+        else:
+            dblks.append(a if kind == "R" else -2 - a)
+            dcounts[-1] += 1
+    ni = cfg.icache_size // bs
+    run_idxs = [blk % ni for blk in run_blks]
+    return run_blks, run_idxs, dcounts, dblks, digest.instructions
+
+
+@dataclass(frozen=True)
+class DigestReplay:
+    """Cold and steady memory stats of one digest replayed concretely."""
+
+    cold: MemoryStats
+    steady: MemoryStats
+    #: the third pass (after the cold pass and one warm-up) ends with the
+    #: i/d/b tags, write buffer and stream buffer it began with, so
+    #: :meth:`BoundsAnalyzer.analyze` closes at 0 joins with steady
+    #: ``lower == upper == steady.stall_cycles``
+    closed: bool
+
+
+def _analyzer_view(machine: FastMachine) -> Tuple[object, ...]:
+    """The part of a concrete state the abstract domain tracks.
+
+    Ever-resident sets are dropped, and a stream buffer holding no block
+    is ``(None, False)`` in the abstract domain whatever its stale miss
+    flag, so it compares as ``(-1, False)`` here.
+    """
+    itags, dtags, btags, _, _, _, wb, sb, sb_miss = machine.snapshot_state()
+    return itags, dtags, btags, wb, (sb, sb_miss if sb >= 0 else False)
+
+
+def replay_digest(
+    digest: TraceDigest,
+    placements: Mapping[str, int],
+    *,
+    config: Optional[AlphaConfig] = None,
+) -> DigestReplay:
+    """Replay ``digest`` under ``placements`` on the fast engine's kernel.
+
+    Measures exactly what :func:`repro.arch.fastsim.cold_and_steady_memory`
+    measures on the walked trace: the cold pass, then warm passes until
+    one is a fixed point or two warm-ups are done.  The same passes
+    certify the abstract bound: a warm-up that the kernel proves a fixed
+    point ends in a state every later pass reproduces, and otherwise the
+    measured third pass is compared against its entry state.
+    """
+    cfg = config or AlphaConfig()
+    machine = FastMachine(cfg)
+    columns = bind_columns(digest, placements, memory=cfg.memory)
+    cold, _ = machine.measure_columns(columns)
+    steady, closed = machine.measure_columns(columns, track=True)
+    if not closed:
+        entry = _analyzer_view(machine)
+        steady, _ = machine.measure_columns(columns)
+        closed = _analyzer_view(machine) == entry
+    return DigestReplay(cold=cold, steady=steady, closed=closed)
 
 
 # --------------------------------------------------------------------------- #

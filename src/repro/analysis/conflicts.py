@@ -104,8 +104,29 @@ def _pairs_from_blocks(
         for i, (name_a, blk_a) in enumerate(entries):
             for name_b, blk_b in entries[i + 1 :]:
                 if blk_a != blk_b:
-                    pairs.add(tuple(sorted((name_a, name_b))))
+                    pairs.add(
+                        (name_a, name_b) if name_a <= name_b else (name_b, name_a)
+                    )
     return pairs
+
+
+def _attribute(
+    program: Program,
+    live: Iterable[str],
+    size_of: Callable[[str], int],
+    bs: int,
+) -> Dict[str, Set[int]]:
+    """Fetchable blocks of the live functions' extents, by owner."""
+    owner = _OwnerMap(program).owner
+    attributed: Dict[str, Set[int]] = {}
+    for name in live:
+        start = program.address_of(name)
+        size = size_of(name)
+        if size <= 0:
+            continue
+        for blk in range(start // bs, (start + size - 1) // bs + 1):
+            attributed.setdefault(owner(blk * bs), set()).add(blk)
+    return attributed
 
 
 def predict_conflicts(
@@ -118,32 +139,36 @@ def predict_conflicts(
         raise ValueError("conflict prediction requires a laid-out program")
     mem = memory or MemoryConfig()
     bs = mem.block_size
-    nsets = mem.icache_size // bs
-    owner = _OwnerMap(program).owner
-
     live = live_functions(program)
-
-    def attribute(
-        extent_of: Callable[[str], Tuple[int, int]],
-    ) -> Dict[str, Set[int]]:
-        attributed: Dict[str, Set[int]] = {}
-        for name in live:
-            start, size = extent_of(name)
-            if size <= 0:
-                continue
-            for blk in range(start // bs, (start + size - 1) // bs + 1):
-                attributed.setdefault(owner(blk * bs), set()).add(blk)
-        return attributed
-
-    full = attribute(lambda n: (program.address_of(n), program.size_of(n)))
-    hot = attribute(lambda n: (program.address_of(n), program.hot_size_of(n)))
-
+    full = _attribute(program, live, program.size_of, bs)
     return ConflictPrediction(
-        pairs=_pairs_from_blocks(full, nsets),
-        likely=_pairs_from_blocks(hot, nsets),
+        pairs=_pairs_from_blocks(full, mem.icache_size // bs),
+        likely=likely_pairs(program, live=live, memory=mem),
         live=live,
         blocks=full,
     )
+
+
+def likely_pairs(
+    program: Program,
+    *,
+    live: Optional[Set[str]] = None,
+    memory: Optional[MemoryConfig] = None,
+) -> Set[Pair]:
+    """The ``likely`` pairs of :func:`predict_conflicts` alone.
+
+    Attributes only the mainline footprints.  The live set depends on
+    names and call edges, not on addresses, so callers that re-lay one
+    program out many times pass :func:`live_functions` in once.
+    """
+    if not program.has_layout():
+        raise ValueError("conflict prediction requires a laid-out program")
+    mem = memory or MemoryConfig()
+    bs = mem.block_size
+    if live is None:
+        live = live_functions(program)
+    hot = _attribute(program, live, program.hot_size_of, bs)
+    return _pairs_from_blocks(hot, mem.icache_size // bs)
 
 
 # --------------------------------------------------------------------------- #

@@ -176,6 +176,23 @@ def data_blocks(packed: PackedTrace, block_size: int) -> array:
     return dblks
 
 
+#: everything one memory pass reads: ``(run_blks, run_idxs, dcounts,
+#: dblks, instructions)`` -- the fetch runs of :func:`fetch_runs`, the
+#: data column of :func:`data_blocks` and the instruction count (every
+#: instruction is exactly one fetch)
+FetchColumns = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int], int]
+
+
+def trace_columns(
+    packed: PackedTrace, block_size: int, icache_blocks: int
+) -> FetchColumns:
+    """The cached kernel columns of one packed trace."""
+    run_blks, run_idxs, dcounts = fetch_runs(packed, block_size, icache_blocks)
+    return (
+        run_blks, run_idxs, dcounts, data_blocks(packed, block_size), len(packed)
+    )
+
+
 # --------------------------------------------------------------------------- #
 # fused CPU pass                                                              #
 # --------------------------------------------------------------------------- #
@@ -314,7 +331,14 @@ class FastMachine:
     # ------------------------------------------------------------------ #
 
     def _mem_pass(self, packed: PackedTrace, track: bool = False) -> bool:
-        """Run one pass of the trace through the hierarchy.
+        """Run one pass of the trace through the hierarchy (see
+        :meth:`_run_columns`)."""
+        return self._run_columns(
+            trace_columns(packed, self._block_size, self._i_nblocks), track
+        )
+
+    def _run_columns(self, columns: FetchColumns, track: bool = False) -> bool:
+        """Run one pass of fetch/data columns through the hierarchy.
 
         With ``track``, returns True when any further pass is guaranteed
         to repeat this one's counters exactly.  That holds when the pass
@@ -376,11 +400,10 @@ class FastMachine:
             sb_init_hit = False
             sb_init_probed: set = set()
 
-        run_blks, run_idxs, dcounts = fetch_runs(packed, self._block_size, i_n)
-        dblks = data_blocks(packed, self._block_size)
+        run_blks, run_idxs, dcounts, dblks, n = columns
         # every entry is exactly one fetch; the loop only counts stalls
-        instructions += len(packed)
-        i_acc += len(packed)
+        instructions += n
+        i_acc += n
 
         pos = 0
         for blk, idx, cnt in zip(run_blks, run_idxs, dcounts):
@@ -617,6 +640,16 @@ class FastMachine:
         if self.sink is not None:
             self.sink.observe_pass(packed, measure=False)
 
+    def measure_columns(
+        self, columns: FetchColumns, track: bool = False
+    ) -> Tuple[MemoryStats, bool]:
+        """One pass over kernel columns: its stats delta and, with
+        ``track``, whether every further pass repeats it exactly (see
+        :meth:`_run_columns`).  No attribution sink is consulted."""
+        before = list(self._c)
+        fixed = self._run_columns(columns, track)
+        return self._stats_from([a - b for a, b in zip(self._c, before)]), fixed
+
     def mem_delta(self, trace: Traceable) -> List[int]:
         """One raw memory pass, returning the 15-counter delta.
 
@@ -695,20 +728,15 @@ def cold_and_steady_memory(
 ) -> Tuple[MemoryStats, MemoryStats]:
     """Memory-side half of :func:`simulate_cold_and_steady`."""
     machine = FastMachine(config)
-
-    def measured(track: bool) -> Tuple[MemoryStats, bool]:
-        before = list(machine._c)
-        fixed = machine._mem_pass(packed, track=track)
-        delta = [a - b for a, b in zip(machine._c, before)]
-        return machine._stats_from(delta), fixed
+    columns = trace_columns(packed, machine._block_size, machine._i_nblocks)
 
     # Pass 1 is the cold measurement (and doubles as the first warm-up);
     # it is never a fixed point for real traces, so skip its tracking.
-    cold_mem, _ = measured(track=False)
+    cold_mem, _ = machine.measure_columns(columns)
     steady_mem = cold_mem
     fixed = False
     for _ in range(warmup_rounds):
         if fixed:
             break                       # further passes must repeat exactly
-        steady_mem, fixed = measured(track=True)
+        steady_mem, fixed = machine.measure_columns(columns, track=True)
     return cold_mem, steady_mem

@@ -6,8 +6,9 @@ search problem over the same space — candidate generators propose
 placements (a greedy conflict-graph placer seeded from the observed
 :class:`repro.obs.conflicts.ConflictMatrix`, a Pettis–Hansen-style
 call-affinity ordering derived from walked event streams, and a seeded
-local-search mutator), a batched evaluator scores them through the fast
-engine, and a driver loops generate → prefilter → simulate → select,
+local-search mutator), a batched evaluator scores them by replaying the
+cell's trace digest on the fast engine's kernel, and a driver loops
+generate → prefilter → score → select,
 reporting the best layout found against the paper's baselines.
 
 Layers:
@@ -19,7 +20,7 @@ Layers:
 * :mod:`repro.search.generators` — candidate genome generators and the
   mutation kernel;
 * :mod:`repro.search.evaluate` — the per-cell evaluator (static
-  prefilter cost + full engine scoring), serial and pool-parallel;
+  prefilter cost + digest-replay scoring), serial and pool-parallel;
 * :mod:`repro.search.driver` — the search loop, baselines and the
   :class:`~repro.search.driver.SearchResult` report.
 """

@@ -1,4 +1,4 @@
-"""The search loop: generate → prefilter → simulate → select.
+"""The search loop: generate → prefilter → score → select.
 
 :func:`search_cell` runs a seeded, budgeted layout search over one
 (stack, config) cell.  Round structure:
@@ -9,12 +9,18 @@
    Pettis–Hansen-style affinity ordering, and the conflict-graph placer
    seeded from an observed :class:`~repro.obs.conflicts.ConflictMatrix`.
 2. **Mutation rounds** — the current elite genomes spawn local-search
-   mutants (swap / rotate / re-pin moves) until the simulation budget is
+   mutants (swap / rotate / re-pin moves) until the candidate budget is
    spent.
 3. **Prefilter** — each round, the statically-cheapest half of the fresh
    candidates (shared placement-cost model + static conflict predictor)
-   goes on to full simulation; the rest are dropped without paying for a
-   walk.
+   goes on to scoring; the rest are dropped before any replay.
+4. **Certified prune** — once the elite pool is full, a kept candidate
+   whose certified steady lower bound exceeds the round-start elite
+   floor is ruled out.  On the fast engines the bound comes from the
+   same digest replay that scores the candidate
+   (:meth:`~repro.search.evaluate.CellEvaluator.steady_lower_bound`):
+   where that replay closes, the prune costs no extra pass and saves
+   none.  It changes no outcome.
 
 Every random choice draws from one ``random.Random(seed)``, candidate
 scores are bit-identical across engines, and selection ties break by
@@ -24,6 +30,7 @@ bit-identical winners on the fast and reference engines alike.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -31,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.api.settings import Settings
 from repro.obs.conflicts import ConflictMatrix
 from repro.search.artifact import Genome, LayoutArtifact, pack_genome
-from repro.search.evaluate import CellEvaluator, Placements, Score
+from repro.search.evaluate import CellEvaluator, Placements, Score, fingerprint
 from repro.search.generators import (
     affinity_genome,
     call_sequence,
@@ -40,7 +47,7 @@ from repro.search.generators import (
     mutate,
 )
 
-#: default number of candidates that pay for full simulation
+#: default number of candidates that are scored (or ruled out) per search
 DEFAULT_BUDGET = 64
 #: elite genomes kept as mutation parents
 ELITE = 4
@@ -62,14 +69,15 @@ class SearchResult:
     baseline_score: Score
     bipartite_score: Optional[Score] = None
     micro_score: Optional[Score] = None
-    #: candidates that paid for full simulation (baselines excluded)
+    #: candidates charged against the budget, scored or ruled out
+    #: (baselines excluded)
     evaluated: int = 0
     generated: int = 0
     prefiltered_out: int = 0
-    #: candidates dropped by the certified bounds prefilter: their static
-    #: steady lower bound exceeded the round-start elite floor, so they
-    #: provably could not improve the result — each one is a simulation
-    #: the search did not have to pay for
+    #: candidates the certified bound ruled out: their steady lower bound
+    #: exceeded the round-start elite floor, so they provably could not
+    #: improve the result (a ruled-out candidate is still replayed for its
+    #: bound, so this counts no saved simulation)
     bounds_pruned: int = 0
     rounds: int = 0
     #: (round, best steady mCPI so far) per round
@@ -83,7 +91,8 @@ class SearchResult:
 
     @property
     def sims_avoided(self) -> int:
-        """Simulations the certified bounds prefilter saved."""
+        """:attr:`bounds_pruned` under its old name, which the artifact
+        and the JSON keep: candidates the certified bound ruled out."""
         return self.bounds_pruned
 
     def summary(self) -> str:
@@ -93,7 +102,7 @@ class SearchResult:
             f"  evaluated {self.evaluated} candidates in {self.rounds} "
             f"round(s); {self.prefiltered_out} prefiltered out of "
             f"{self.generated} generated; {self.bounds_pruned} "
-            f"bounds-pruned (simulations avoided)",
+            f"bounds-pruned (ruled out by the certified bound)",
         ]
 
         def row(label: str, score: Optional[Score]) -> str:
@@ -181,10 +190,6 @@ def _profile_conflicts(evaluator: CellEvaluator) -> ConflictMatrix:
     return sink.harvest("steady").conflicts
 
 
-def _fingerprint(placements: Placements) -> Tuple:
-    return tuple(sorted(placements.items()))
-
-
 def search_cell(
     stack: str,
     config: str,
@@ -203,20 +208,20 @@ def search_cell(
 ) -> SearchResult:
     """Search one cell for a better layout; deterministic in (seed, budget).
 
-    ``budget`` bounds full simulations of *candidates* (baseline scoring
-    is free).  ``micro_baseline`` additionally scores the paper's
+    ``budget`` bounds the *candidates* scored or ruled out (baseline
+    scoring is free).  ``micro_baseline`` additionally scores the paper's
     micro-positioned layout for the report (it is trace-greedy and
     costs a few seconds, so it is opt-in).  ``keep_rejected`` records
     the placements the static prefilter dropped, for soundness audits.
 
     ``certify_prune`` enables the certified bounds prefilter: once the
-    elite pool is full, candidates whose *sound* static steady-mCPI
-    lower bound (:meth:`CellEvaluator.steady_lower_bound`) exceeds the
-    round-start elite floor are dropped without simulation.  Unlike the
-    heuristic ``prefilter``, this cannot change the outcome — pruned
-    candidates provably could not beat the floor — so searches with and
-    without it return bit-identical artifacts; ``bounds_pruned`` counts
-    the simulations it saved.
+    elite pool is full, candidates whose *sound* steady-mCPI lower bound
+    (:meth:`CellEvaluator.steady_lower_bound`) exceeds the round-start
+    elite floor are ruled out unscored.  Unlike the heuristic
+    ``prefilter``, this cannot change the outcome — pruned candidates
+    provably could not beat the floor — so searches with and without it
+    return bit-identical artifacts; ``bounds_pruned`` counts the
+    candidates the certified bound ruled out.
     """
     if budget < 1:
         raise ValueError("search budget must be >= 1")
@@ -264,7 +269,7 @@ def search_cell(
     best_origin = "default"
     best_round = 0
     elite: List[Tuple[Score, int, str, Genome]] = []
-    seen = {_fingerprint(evaluator.default_placements)}
+    seen = {fingerprint(evaluator.default_placements)}
 
     result = SearchResult(
         stack=stack, config=config, seed=seed, budget=budget,
@@ -285,7 +290,7 @@ def search_cell(
         if round_no == 1:
             for origin, genome in seed_pool:
                 placements = pack_genome(program, genome)
-                fp = _fingerprint(placements)
+                fp = fingerprint(placements)
                 if fp not in seen:
                     seen.add(fp)
                     fresh.append((origin, genome, placements))
@@ -302,7 +307,7 @@ def search_cell(
             ]
             child = mutate(parent, rng)
             placements = pack_genome(program, child)
-            fp = _fingerprint(placements)
+            fp = fingerprint(placements)
             if fp in seen:
                 continue
             seen.add(fp)
@@ -340,10 +345,10 @@ def search_cell(
         # push that floor down — nor beat best_score (which is <= every
         # elite score on the first, strictly-dominating key).  Elite
         # slots past ELITE never become parents or artifacts, so
-        # skipping the simulation cannot change any later decision:
-        # searches with and without pruning return bit-identical
-        # results.  Pruned candidates still consume budget and a
-        # generation number, exactly as if simulated and discarded.
+        # leaving the candidate unscored cannot change any later
+        # decision: searches with and without pruning return
+        # bit-identical results.  Pruned candidates still consume budget
+        # and a generation number, exactly as if scored and discarded.
         prune_floor: Optional[float] = None
         if certify_prune and len(elite) >= ELITE:
             floor = sorted(elite, key=lambda e: (e[0], e[1]))[ELITE - 1]
@@ -361,7 +366,7 @@ def search_cell(
                 continue
             to_sim.append(idx)
 
-        # ---- simulate + select --------------------------------------- #
+        # ---- score + select ------------------------------------------ #
         scores = evaluator.score_placements(
             [kept[i][2] for i in to_sim],
             parallel=parallel, max_workers=max_workers,
@@ -395,5 +400,10 @@ def search_cell(
             "sims_avoided": result.sims_avoided,
         },
     )
-    evaluator.restore_default()
+    # the private build lives in reference cycles (the walker's recursive
+    # closures among them) that only the cycle collector frees, and a
+    # replay-scored search allocates too little to trigger a full
+    # collection before the next cell's build: release it here
+    del evaluator, program
+    gc.collect()
     return result

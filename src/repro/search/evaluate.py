@@ -2,21 +2,29 @@
 
 One :class:`CellEvaluator` owns a *private* build of its (stack, config)
 cell — candidate layouts are applied in place, so the shared build memo
-must never see this program — plus one captured roundtrip.  Scoring a
-candidate is then: re-lay the program out, drop the walk-template cache
-(templates embed absolute pcs), walk a fresh clone of the captured
-events, and simulate cold + steady through the fast engine's cached
-kernel.  Identical candidate layouts produce identical packed traces, so
-duplicate candidates across rounds hit the simulation result cache and
-cost microseconds, not milliseconds.
+must never see this program — plus one captured roundtrip, walked once on
+the default layout.  The walk is layout-invariant (only its pcs move), so
+its trace digest (:func:`repro.analysis.bounds.digest_trace`) and its CPU
+issue stats serve every candidate.
 
-The static prefilter avoids the walk+simulate cost entirely for
-obviously-bad candidates: it combines the shared placement-cost model
+On the ``fast`` and ``guarded`` engines, scoring a candidate replays the
+digest under its placements through the fast engine's kernel
+(:func:`repro.analysis.bounds.replay_digest`): the same columns the
+walked trace would produce, the same cold and warm passes, the same
+:class:`~repro.arch.simulator.SimResult` arithmetic — bit-identical to
+walking and simulating, at a fraction of the cost.  The same replay
+certifies the candidate's steady lower bound, so a candidate is replayed
+once whether it is pruned or scored.  The ``reference`` engine re-lays
+the program out, walks a fresh clone of the captured events and runs
+:class:`~repro.arch.simulator.MachineSimulator`: it stays the oracle.
+
+The static prefilter ranks candidates before any replay: it combines
+the shared placement-cost model
 (:func:`repro.core.placement.replacement_misses` over the cell's block
-trace — the same cost micro-positioning minimizes) with the static
-eviction graph of :func:`repro.analysis.conflicts.predict_conflicts`,
-weighting each predicted-likely conflict pair by how often the trace
-actually touches both functions.
+trace — the same cost micro-positioning minimizes) with the likely pairs
+of the static eviction graph (:func:`repro.analysis.conflicts.
+likely_pairs`, the mainline half of ``predict_conflicts``), weighting
+each pair by how often the trace actually touches both functions.
 
 Scores order lexicographically — steady mCPI, then cold i-cache misses,
 then end-to-end RTT — matching the paper's priorities (steady-state
@@ -28,10 +36,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.bounds import (
+    DigestReplay,
+    bounds_from_digest,
+    digest_trace,
+    replay_digest,
+)
+from repro.analysis.conflicts import likely_pairs, live_functions
 from repro.api.settings import Settings
+from repro.arch.fastsim import cpu_pass
 from repro.arch.memory import MemoryConfig
-from repro.arch.simcache import simulate_cold_and_steady_cached
-from repro.arch.simulator import MachineSimulator
+from repro.arch.simulator import MachineSimulator, SimResult
 from repro.core.fastwalk import FastWalker
 from repro.core.layout import BLOCK
 from repro.core.metrics import trace_block_touches
@@ -70,6 +85,11 @@ class Score:
             "cold_icache_misses": self.cold_icache_misses,
             "rtt_us": self.rtt_us,
         }
+
+
+def fingerprint(placements: Placements) -> Tuple:
+    """Hashable identity of one candidate layout."""
+    return tuple(sorted(placements.items()))
 
 
 def _clear_walk_templates(program: Program) -> None:
@@ -125,10 +145,13 @@ class CellEvaluator:
             self.touch_freq[name] = self.touch_freq.get(name, 0) + 1
         # the trace digest is likewise layout-independent (the walk never
         # changes, only its pcs): one digest re-binds to every candidate
-        # layout for the certified lower-bound prefilter
-        from repro.analysis.bounds import digest_trace
-
+        # layout, for its score and for its certified lower bound
         self.digest = digest_trace(walk.trace, self.program)
+        self._cpu = cpu_pass(walk.packed)
+        # replays made for a lower bound, kept for the candidate's score
+        self._replays: Dict[Tuple, DigestReplay] = {}
+        # the live set depends on names and call edges, not addresses
+        self._live = live_functions(self.program)
         self.evaluated = 0
 
     # ---- static prefilter ------------------------------------------- #
@@ -146,8 +169,6 @@ class CellEvaluator:
         the static conflict predictor for likely (mainline-vs-mainline)
         pairs, each weighted by the rarer partner's touch count.
         """
-        from repro.analysis.conflicts import predict_conflicts
-
         assignment = {
             name: addr // BLOCK for name, addr in placements.items()
         }
@@ -159,9 +180,8 @@ class CellEvaluator:
         )
         repl = repl_i * ICACHE_MISS_CYCLES + repl_b * BCACHE_MISS_CYCLES
         self.program.layout(lambda p: dict(placements))
-        predicted = predict_conflicts(self.program)
         weighted = 0
-        for a, b in sorted(predicted.likely):
+        for a, b in sorted(likely_pairs(self.program, live=self._live)):
             fa = self.touch_freq.get(a, 0)
             fb = self.touch_freq.get(b, 0)
             if fa and fb:
@@ -174,7 +194,7 @@ class CellEvaluator:
         """Indices of the ``keep`` statically-cheapest candidates.
 
         Stable: ties keep the earlier candidate, so generation order
-        (incumbent first) survives into the simulated set.
+        (incumbent first) survives into the scored set.
         """
         costs = [self.static_cost(p) for p in candidates]
         ranked = sorted(range(len(candidates)), key=lambda i: (costs[i], i))
@@ -183,37 +203,48 @@ class CellEvaluator:
     def steady_lower_bound(self, placements: Placements) -> float:
         """Sound lower bound on this candidate's steady mCPI — no walk.
 
-        Re-binds the cell's one trace digest to the candidate layout and
-        runs the abstract interpreter (:mod:`repro.analysis.bounds`).
         The bound is *certified*: ``steady_lower_bound(p) <=
         score(p).steady_mcpi`` for every candidate, which is what lets
-        the search driver drop provably-worse candidates without paying
-        for their simulation.
+        the search driver drop provably-worse candidates.  It is the
+        value :func:`~repro.analysis.bounds.bounds_from_digest` returns:
+        where the candidate's replay closes (see
+        :class:`~repro.analysis.bounds.DigestReplay`) the abstract
+        interpreter would stop with ``lower == upper ==`` the replayed
+        steady stalls, so the replay's steady mCPI *is* the bound, and
+        the replay is kept for :meth:`score`.  Elsewhere, and on the
+        reference engine, the abstract interpreter runs.
         """
-        from repro.analysis.bounds import bounds_from_digest
-
+        if self.engine != "reference":
+            replay = replay_digest(self.digest, placements)
+            self._replays[fingerprint(placements)] = replay
+            if replay.closed:
+                return replay.steady.mcpi
         return bounds_from_digest(self.digest, placements).steady.lower
 
     # ---- full evaluation -------------------------------------------- #
 
     def score(self, placements: Placements) -> Score:
-        """Walk + simulate one candidate; bit-identical across engines."""
-        self.program.layout(lambda p: dict(placements))
-        _clear_walk_templates(self.program)
-        events = self._clone_events(self._events)
-        data_env = dict(self._data_env)
+        """Score one candidate; bit-identical across engines."""
         if self.engine == "reference":
-            walk = Walker(self.program, data_env).walk(list(events))
+            self.program.layout(lambda p: dict(placements))
+            _clear_walk_templates(self.program)
+            walk = Walker(self.program, dict(self._data_env)).walk(
+                list(self._clone_events(self._events))
+            )
             cold = MachineSimulator().run(walk.trace)
             steady = MachineSimulator().run_steady_state(walk.trace)
+            cold_misses = cold.memory.icache.misses
         else:
-            walk = FastWalker(self.program, data_env).walk(events)
-            cold, steady = simulate_cold_and_steady_cached(walk.packed)
+            replay = self._replays.pop(fingerprint(placements), None)
+            if replay is None:
+                replay = replay_digest(self.digest, placements)
+            steady = SimResult(cpu=self._cpu, memory=replay.steady)
+            cold_misses = replay.cold.icache.misses
         rtt = self._exp.latency.roundtrip_us(
             steady.time_us(), self._exp.server_processing_us
         )
         self.evaluated += 1
-        return Score(steady.mcpi, cold.memory.icache.misses, rtt)
+        return Score(steady.mcpi, cold_misses, rtt)
 
     def score_placements(
         self,
